@@ -25,6 +25,7 @@ import json
 import numpy as np
 
 from repro.agents.behaviors import AgentBehavior, Deviation
+from repro.agents.board import BidBoard
 from repro.core.payments import payments as compute_payments
 from repro.crypto.pki import PKI
 from repro.crypto.signatures import SignedMessage, SigningKey
@@ -63,25 +64,20 @@ class ProcessorAgent:
         # computation is performed independently (the paper's literal
         # procedure, kept for the equivalence tests).
         self.memo = None
-        # signer -> list of distinct authentic signed bid messages seen.
-        # De-duplication scans the list's cached canonicals: archives
-        # hold one entry per signer in honest runs (two or three under
-        # equivocation), and avoiding a per-(observer, signer) dedup
-        # set halves the tracked allocations in the O(m^2) hot path.
-        self._bid_archive: dict[str, list[SignedMessage]] = {}
-        # signer -> parsed bid of the first archived message; bid_view
-        # reads this instead of re-parsing payloads O(m) times
-        self._first_bid: dict[str, float] = {}
-        # Set the moment a second distinct payload from any signer is
-        # archived; lets detect_equivocations (run by all m agents)
-        # return in O(1) for honest engagements.
-        self._equivocation_seen = False
-        # Friend access to the PKI's registry and cache counters: the
-        # inlined fast path in observe_bid runs O(m^2) times per
-        # engagement and cannot afford the call into PKI.verify when
-        # the verdict already rides on the message object.
-        self._pki_keys = pki._keys
-        self._sig_stats = pki.signature_cache.stats
+        # The verified bid archive: private by default; the engine seats
+        # the agent on its engagement's SharedBidBoard when atomic
+        # broadcast makes every listener's archive identical.
+        self._board: BidBoard = BidBoard(pki)
+
+    @property
+    def _bid_archive(self) -> dict[str, list[SignedMessage]]:
+        """signer -> distinct authentic signed bids this agent holds."""
+        return self._board.archive
+
+    @property
+    def _first_bid(self) -> dict[str, float]:
+        """signer -> parsed bid of the first archived message."""
+        return self._board.first
 
     # ------------------------------------------------------------------
     # Bidding phase
@@ -186,38 +182,15 @@ class ProcessorAgent:
 
         "If the message fails verification, it is discarded."  Distinct
         authentic payloads from one signer are all kept — they are the
-        equivocation evidence.
+        equivocation evidence.  A bid reaching an agent seated on a
+        shared board by any other path than the board's own atomic
+        delivery makes its view diverge, so it first takes a private
+        copy of the board.
         """
-        signer = sm.signer
-        # Inlined equivalent of self.pki.verify(sm): the first
-        # recipient of a broadcast pays for the real verification and
-        # the verdict rides on the shared message object, so the other
-        # m-1 recipients take this branch — one dict probe plus an
-        # identity check against the currently registered key.
-        cached = sm._verified
-        if cached is not None and cached[0] is self._pki_keys.get(signer):
-            if not cached[1]:
-                return
-            self._sig_stats.hits += 1
-        elif not self.pki.verify(sm):
-            return
-        payload = sm.payload
-        if not isinstance(payload, dict) or payload.get("processor") != signer:
-            return
-        payload_bytes = sm._canonical
-        if payload_bytes is None:
-            payload_bytes = sm.canonical
-        archive = self._bid_archive.get(signer)
-        if archive is None:
-            # First contact — the only case in honest engagements.
-            self._bid_archive[signer] = [sm]
-            self._first_bid[signer] = float(payload["bid"])
-            return
-        for prior in archive:
-            if prior.canonical == payload_bytes:
-                return
-        self._equivocation_seen = True
-        archive.append(sm)
+        board = self._board
+        if board.shared:
+            board = self._board = board.leave(self)
+        board.add(sm)
 
     def bus_handler(self, inbox: list, bulletin: dict):
         """Build this agent's bus message handler (the Endpoint duty).
@@ -227,10 +200,12 @@ class ProcessorAgent:
         place); *bulletin* is the shared commitment board, consulted at
         call time so commitments published after attachment are seen.
 
-        The BID branch runs O(m^2) times per engagement (every agent
-        sees every bid), so the handler pre-binds everything it can and
-        dispatches the common case — a plain signed bid — with a single
-        type check before anything else.
+        With private archives the BID branch runs O(m^2) times per
+        engagement (every agent sees every bid), so the handler
+        pre-binds everything it can and dispatches the common case — a
+        plain signed bid — with a single type check before anything
+        else.  Agents seated on a shared bid board never see atomic
+        BID broadcasts here: the board receives each one once.
         """
         observe = self.observe_bid
         name_tuple = (self.name,)
@@ -263,17 +238,9 @@ class ProcessorAgent:
         """
         if Deviation.SILENT_OBSERVER in self.behavior.deviations:
             return []
-        # In honest engagements no signer ever archives two distinct
-        # payloads, so the flag (maintained by observe_bid) lets all m
-        # agents answer in O(1) instead of scanning m archives each.
-        if not self._equivocation_seen:
-            return []
-        own = self.name
-        found = []
-        for signer, msgs in sorted(self._bid_archive.items()):
-            if signer != own and len(msgs) >= 2:
-                found.append((signer, (msgs[0], msgs[1])))
-        return found
+        archive = self._board.archive
+        return [(signer, (archive[signer][0], archive[signer][1]))
+                for signer in self._board.equivocators_except(self.name)]
 
     def fabricate_equivocation_claim(self, participants: list[str]) -> tuple[str, tuple[SignedMessage, SignedMessage]] | None:
         """FALSE_EQUIVOCATION_CLAIM: accuse an innocent peer.

@@ -28,6 +28,7 @@ processor parameters" when no conflict arises).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -456,7 +457,8 @@ class Referee:
         kind: NetworkKind,
         z: float,
         fine: float,
-        bid_vectors: dict[str, list[SignedMessage]] | None = None,
+        bid_vectors: dict[str, list[SignedMessage]]
+        | Callable[[], dict[str, list[SignedMessage]]] | None = None,
     ) -> RefereeVerdict:
         """Computing-Payments case: verify the submitted ``Q`` vectors.
 
@@ -474,7 +476,10 @@ class Referee:
         honest agents' views, and without this check the *victims'*
         honestly computed ``Q`` would look wrong.  Any signer with two
         distinct authentic bids across the archives is fined instead,
-        and nobody else is (Lemma 5.2: fines only for deviants).
+        and nobody else is (Lemma 5.2: fines only for deviants).  The
+        archives are only read when some vector is wrong, so
+        *bid_vectors* may also be a zero-argument callable building
+        them on demand.
 
         Returns a non-terminating, fine-free verdict when every vector
         is present, authentic, unique and correct.
@@ -516,6 +521,8 @@ class Referee:
                 fines.append(Fine(name, fine, "incorrect-payments"))
 
         if fines and bid_vectors is not None:
+            if callable(bid_vectors):
+                bid_vectors = bid_vectors()
             equivocators = self._bid_equivocators(bid_vectors)
             if equivocators:
                 # A poisoned bid view, not sloppy arithmetic, explains

@@ -139,7 +139,8 @@ class _Scope:
     physics (event queue, one-port clock) are shared, on the bus.
     """
 
-    __slots__ = ("endpoints", "log", "stats", "pending", "listeners")
+    __slots__ = ("endpoints", "log", "stats", "pending", "listeners",
+                 "names")
 
     def __init__(self) -> None:
         self.endpoints: dict[str, Callable[[Message], None]] = {}
@@ -149,6 +150,8 @@ class _Scope:
         self.pending: dict[str, list[FanOutDelivery]] = {}
         # broadcast fan-out snapshot, rebuilt lazily after attach/detach
         self.listeners: tuple[tuple[str, Callable[[Message], None]], ...] | None = None
+        # endpoint-name snapshot for single-delivery broadcasts
+        self.names: tuple[str, ...] | None = None
 
 
 class Bus:
@@ -219,7 +222,7 @@ class Bus:
                              + (f" in engagement {engagement!r}"
                                 if engagement else ""))
         scope.endpoints[name] = handler
-        scope.listeners = None
+        scope.listeners = scope.names = None
 
     def detach(self, name: str, *, engagement: str | None = None) -> None:
         """Remove an endpoint and cancel its in-flight deliveries.
@@ -231,7 +234,7 @@ class Bus:
         """
         scope = self._scope(engagement)
         scope.endpoints.pop(name, None)
-        scope.listeners = None
+        scope.listeners = scope.names = None
         for delivery in scope.pending.pop(name, ()):
             delivery.drop(name)
 
@@ -241,6 +244,13 @@ class Bus:
         if pairs is None:
             pairs = scope.listeners = tuple(scope.endpoints.items())
         return pairs
+
+    def _fanout_names(self, scope: _Scope) -> tuple[str, ...]:
+        """Cached endpoint-name snapshot, rebuilt after attach/detach."""
+        names = scope.names
+        if names is None:
+            names = scope.names = tuple(scope.endpoints)
+        return names
 
     @property
     def endpoints(self) -> tuple[str, ...]:
@@ -279,6 +289,25 @@ class Bus:
         for name, handler in self._fanout_pairs(scope):
             if name != sender:
                 handler(msg)
+
+    def broadcast_once(self, msg: Message) -> tuple[str, ...] | None:
+        """Record an atomic broadcast whose delivery the caller performs
+        once for every listener (the shared bid board's path).
+
+        Logs and counts *msg* exactly as :meth:`broadcast` does but
+        calls no handler.  Returns the scope's endpoint names at send
+        time — every one but the sender receives the message — as a
+        snapshot whose identity changes only with membership, so the
+        caller can cache per-snapshot work.  Transports that cannot
+        promise identical delivery to every listener fan out through
+        :meth:`broadcast` instead and return ``None``.
+        """
+        if not msg.is_broadcast:
+            raise ValueError("broadcast() requires recipients == ('*',)")
+        scope = self._scope(msg.engagement)
+        self._require_sender(msg.sender, scope)
+        self._record(msg, scope)
+        return self._fanout_names(scope)
 
     def send(self, msg: Message) -> tuple[str, ...]:
         """Unicast/multicast to the named recipients (must be attached
@@ -368,8 +397,8 @@ class EngagementBusView:
     """A transport bound to one engagement scope of a shared bus.
 
     Exposes the exact :class:`Bus` surface the protocol stack consumes
-    — ``attach`` / ``broadcast`` / ``send`` / ``transfer_load`` /
-    ``enter_phase`` / ``is_crashed`` / ``stats`` / ``log`` / ``queue``
+    — ``attach`` / ``broadcast`` / ``broadcast_once`` / ``send`` /
+    ``transfer_load`` / ``enter_phase`` / ``is_crashed`` / ``stats`` / ``log`` / ``queue``
     / ``port_free_at`` — stamping its engagement id onto every message
     so the engine, runners, retry machinery and committee adjudicator
     run unmodified over a multiplexed bus.  The physics properties
@@ -437,6 +466,9 @@ class EngagementBusView:
 
     def broadcast(self, msg: Message) -> None:
         self._bus.broadcast(self._tagged(msg))
+
+    def broadcast_once(self, msg: Message) -> tuple[str, ...] | None:
+        return self._bus.broadcast_once(self._tagged(msg))
 
     def send(self, msg: Message) -> tuple[str, ...]:
         return self._bus.send(self._tagged(msg))

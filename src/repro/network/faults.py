@@ -352,6 +352,7 @@ class FaultyBus(Bus):
             # instance-dict lookup, nothing more.
             base = super()
             self.broadcast = base.broadcast          # type: ignore[method-assign]
+            self.broadcast_once = base.broadcast_once  # type: ignore[method-assign]
             self.send = base.send                    # type: ignore[method-assign]
             self.transfer_load = base.transfer_load  # type: ignore[method-assign]
 
@@ -440,6 +441,16 @@ class FaultyBus(Bus):
                     f"{msg.kind.value}->{name}", msg.engagement))
                 continue
             handler(msg)
+
+    def broadcast_once(self, msg: Message) -> tuple[str, ...] | None:
+        """Single-delivery broadcast while this scope's plan is empty;
+        under an armed plan a crash can silence single listeners, so
+        the message fans out per recipient and ``None`` is returned."""
+        state = self._states.get(msg.engagement)
+        if state is None or state.plan.empty:
+            return Bus.broadcast_once(self, msg)
+        self.broadcast(msg)
+        return None
 
     def send(self, msg: Message) -> tuple[str, ...]:
         """Unicast with the plan's drop/delay/duplicate rules applied.

@@ -208,6 +208,10 @@ class EngagementContext:
     # The id is addressing metadata only: runners never branch on it,
     # they just ride a bus view that stamps it onto outgoing traffic.
     engagement_id: str | None = None
+    # Atomic-mode bid archive shared by the agents (``None`` when each
+    # keeps a private one): Bidding delivers each BID broadcast to it
+    # once instead of once per listener.
+    bid_board: Any = None
 
     # --- engagement state (produced phase by phase) ---------------------
     blocks: tuple = ()                            # the user's signed load

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import gc
 
+from repro.agents.board import SharedBidBoard
 from repro.agents.processor import ProcessorAgent
 from repro.core.fines import FinePolicy
 from repro.core.quorum import CommitteeConfig, RefereeCommittee
@@ -202,6 +203,7 @@ class ProtocolEngine:
         self.order = names
         self._received: dict[str, list] = {n: [] for n in names}
         self._attach_endpoints()
+        self.bid_board = self._share_bids()
 
     # ---- wiring --------------------------------------------------------
 
@@ -219,6 +221,24 @@ class ProtocolEngine:
             # is a sink like the referee's and the user's.
             for name in self.committee.names:
                 self.bus.attach(name, lambda msg: None)
+
+    def _share_bids(self) -> SharedBidBoard | None:
+        """Seat every agent on one shared bid board, when allowed.
+
+        Only atomic broadcast on a fault-free transport guarantees that
+        every listener archives the same bids, and only the memoized
+        mode may share work: ``redundancy="independent"`` keeps the
+        paper's per-observer procedure as the differential oracle, and
+        point-to-point bidding or an armed fault plan keep private
+        archives because the views can differ.
+        """
+        if (self.redundancy != "memoized" or self.bidding_mode != "atomic"
+                or self._fault_plan is not None):
+            return None
+        board = SharedBidBoard(self.pki)
+        for agent in self.agents:
+            board.join(agent)
+        return board
 
     @property
     def originator(self) -> ProcessorAgent:
@@ -360,7 +380,7 @@ class EngagementSession:
             fault_plan=engine._fault_plan, order=engine.order,
             bulletin=engine._bulletin, received=engine._received,
             blocks=blocks, adjudicator=engine._adjudicator,
-            engagement_id=engine.engagement_id,
+            engagement_id=engine.engagement_id, bid_board=engine.bid_board,
         )
         if engine._adjudicator is not None:
             engine._adjudicator.bind(self.ctx)

@@ -41,12 +41,22 @@ class BiddingRunner(PhaseRunner):
         active = [a.name for a in participants]
         reached_originator = {originator.name}
         if ctx.bidding_mode == "atomic":
+            board = ctx.bid_board
             for agent in participants:
                 msgs = agent.make_bid_messages()
-                agent.observe_bid(msgs[0])  # archive own primary bid
-                for sm in msgs:
-                    ctx.bus.broadcast(Message(MessageKind.BID, agent.name,
-                                              ("*",), sm))
+                if board is None:
+                    agent.observe_bid(msgs[0])  # archive own primary bid
+                    for sm in msgs:
+                        ctx.bus.broadcast(Message(MessageKind.BID,
+                                                  agent.name, ("*",), sm))
+                    continue
+                # Every listener archives the same bytes: verify and
+                # archive each broadcast once, on the shared board.
+                for i, sm in enumerate(msgs):
+                    listeners = ctx.bus.broadcast_once(Message(
+                        MessageKind.BID, agent.name, ("*",), sm))
+                    board.deliver(sm, agent.name, listeners,
+                                  own_copy=i == 0)
         else:
             if ctx.bidding_mode == "commit":
                 for agent in participants:
@@ -160,14 +170,23 @@ class BiddingRunner(PhaseRunner):
         """
         if ctx.bidding_mode != "atomic":
             return ctx.originator.bid_view(active)
-        bids: dict[str, float] = {}
-        for msg in ctx.bus.log:
-            if msg.kind is not MessageKind.BID:
-                continue
-            sm = msg.body
-            if sm.signer in bids or not ctx.pki.verify(sm):
-                continue
-            bids[sm.signer] = float(sm.payload["bid"])
+        board = ctx.bid_board
+        if board is not None and board.intact:
+            # The board archived the first authentic bid per signer in
+            # bus-log order; re-authenticating each is the one (cached)
+            # check the log scan below makes per signer.
+            for msgs in board.archive.values():
+                ctx.pki.verify(msgs[0])
+            bids = dict(board.first)
+        else:
+            bids = {}
+            for msg in ctx.bus.log:
+                if msg.kind is not MessageKind.BID:
+                    continue
+                sm = msg.body
+                if sm.signer in bids or not ctx.pki.verify(sm):
+                    continue
+                bids[sm.signer] = float(sm.payload["bid"])
         missing = [n for n in active if n not in bids]
         if missing:
             raise RuntimeError(f"no authentic bid from {missing}")

@@ -12,6 +12,8 @@ paid for the completed, metered work without a fine.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.network.messages import Message, MessageKind
@@ -96,8 +98,11 @@ class PaymentsRunner(PhaseRunner):
             kind=ctx.kind,
             z=ctx.z,
             fine=ctx.fine,
-            bid_vectors={a.name: a.bid_vector_messages(active)
-                         for a in ctx.participants if a.name not in unheard},
+            # m archives of m entries, read only when a fine needs
+            # explaining: built on first use, once.
+            bid_vectors=functools.cache(lambda: {
+                a.name: a.bid_vector_messages(active)
+                for a in ctx.participants if a.name not in unheard}),
         )
         if verdict.fines:
             ctx.apply_verdict(verdict)

@@ -26,7 +26,10 @@ Wire protocol (one JSON object per line, either direction)::
 Error codes:
 
 * ``invalid-request`` — the payload failed v1 validation (or was not
-  JSON); the message is the validation error verbatim.
+  JSON); the message is the validation error verbatim.  A request line
+  longer than :data:`MAX_REQUEST_BYTES` is answered with this code and
+  ``"reason": "too-large"`` without being parsed; the rest of the line
+  is discarded and the connection stays usable.
 * ``backpressure`` — the bounded request queue was full at admission.
 * ``deadline`` — the request's deadline passed while it was queued or
   running.  A job already running on a worker is *not* interrupted
@@ -52,6 +55,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import re
 import time
 from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
@@ -65,14 +69,62 @@ from repro.service.pool import WarmPool
 from repro.service.stats import ServiceCounters
 from repro.service.worker import execute_payload
 
-__all__ = ["ReproService", "DEFAULT_QUEUE_SIZE"]
+__all__ = ["ReproService", "DEFAULT_QUEUE_SIZE", "MAX_REQUEST_BYTES"]
 
 DEFAULT_QUEUE_SIZE = 32
+#: Longest request line the daemon reads (newline included).  The
+#: largest golden request is about 1 KB and an m = 6000 engagement
+#: about 115 KB, so 1 MiB leaves room for big legitimate requests while
+#: bounding what one connection can make the daemon buffer.
+MAX_REQUEST_BYTES = 1 << 20
 _OPS = ("ping", "stats", "peek", "shutdown")
 
 
-def _error(code: str, message: str) -> dict:
-    return {"ok": False, "error": {"code": code, "message": message}}
+def _error(code: str, message: str, **extra) -> dict:
+    return {"ok": False, "error": {"code": code, "message": message, **extra}}
+
+
+# A leading ``{"id": <int or string>`` — how every client frames its
+# envelopes — recovered from the head of a line too large to parse.
+_LEADING_ID = re.compile(rb'\s*\{\s*"id"\s*:\s*(-?\d+|"[^"\\]*")\s*[,}]')
+
+
+class _LineTooLarge(Exception):
+    """A request line longer than :data:`MAX_REQUEST_BYTES` was discarded.
+
+    ``request_id`` is the envelope's id when the line starts with it, so
+    the answer still pairs with its request.
+    """
+
+    def __init__(self, head: bytes) -> None:
+        super().__init__("request line too large")
+        match = _LEADING_ID.match(head)
+        self.request_id = json.loads(match.group(1)) if match else None
+
+
+async def _read_request_line(reader: asyncio.StreamReader) -> bytes:
+    """The next request line, or the unterminated tail at EOF (``b""``
+    when the client closed cleanly).
+
+    An oversized line is consumed to its newline in limit-sized pieces
+    — the reader never buffers much more than its limit — and then
+    reported as :class:`_LineTooLarge`, so the connection stays in sync
+    for the next request.
+    """
+    head = None
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            return b"" if head is not None else exc.partial
+        except asyncio.LimitOverrunError as exc:
+            piece = await reader.readexactly(exc.consumed)
+            if head is None:
+                head = piece[:256]
+            continue
+        if head is not None:
+            raise _LineTooLarge(head)
+        return line
 
 
 @dataclass
@@ -124,7 +176,7 @@ class ReproService:
             asyncio.ensure_future(self._consume())
             for _ in range(self.pool.workers)]
         self._server, self.bound = await tcp.start_server(
-            self.endpoint, self._handle_connection)
+            self.endpoint, self._handle_connection, limit=MAX_REQUEST_BYTES)
 
     async def serve_forever(self) -> None:
         """Run until :meth:`shutdown` completes (``repro serve`` body)."""
@@ -159,10 +211,17 @@ class ReproService:
         self._connections.add(asyncio.current_task())
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                response = await self._handle_line(line)
+                try:
+                    line = await _read_request_line(reader)
+                except _LineTooLarge as exc:
+                    response = {"id": exc.request_id, **_error(
+                        "invalid-request",
+                        f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+                        reason="too-large")}
+                else:
+                    if not line:
+                        break
+                    response = await self._handle_line(line)
                 writer.write(json.dumps(response).encode("utf-8") + b"\n")
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):

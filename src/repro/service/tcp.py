@@ -88,9 +88,12 @@ def parse_endpoint(spec) -> Endpoint:
     return Endpoint("unix", text)
 
 
-async def start_server(spec, handler) -> tuple[asyncio.AbstractServer,
-                                               Endpoint]:
+async def start_server(spec, handler, *, limit: int = 2 ** 16,
+                       ) -> tuple[asyncio.AbstractServer, Endpoint]:
     """Bind a listener for *spec*; returns ``(server, bound endpoint)``.
+
+    *limit* is each connection's ``StreamReader`` buffer limit — the
+    longest line ``readuntil`` accepts (asyncio's default is 64 KiB).
 
     For tcp specs with port 0 the returned endpoint carries the port
     the kernel actually assigned — that is what the daemon prints in
@@ -99,13 +102,14 @@ async def start_server(spec, handler) -> tuple[asyncio.AbstractServer,
     endpoint = parse_endpoint(spec)
     if endpoint.is_tcp:
         server = await asyncio.start_server(handler, host=endpoint.address,
-                                            port=endpoint.port)
+                                            port=endpoint.port, limit=limit)
         _SERVERS.add(server)
         port = server.sockets[0].getsockname()[1]
         return server, Endpoint("tcp", endpoint.address, port)
     with contextlib.suppress(FileNotFoundError):
         os.unlink(endpoint.address)
-    server = await asyncio.start_unix_server(handler, path=endpoint.address)
+    server = await asyncio.start_unix_server(handler, path=endpoint.address,
+                                             limit=limit)
     _SERVERS.add(server)
     return server, endpoint
 

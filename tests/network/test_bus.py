@@ -55,6 +55,69 @@ class TestBroadcast:
             bus.broadcast(Message(MessageKind.BID, "P1", ("P2",), {}))
 
 
+class TestBroadcastOnce:
+    def test_records_like_broadcast_and_calls_no_handler(self):
+        fanned, _ = make_bus()
+        once, inboxes = make_bus()
+        msg = Message(MessageKind.BID, "P1", ("*",), {"bid": 2.0})
+        fanned.broadcast(msg)
+        listeners = once.broadcast_once(msg)
+        assert listeners == ("P1", "P2", "P3")
+        assert all(box == [] for box in inboxes.values())
+        assert once.log == fanned.log
+        assert once.stats == fanned.stats
+
+    def test_listener_snapshot_changes_only_with_membership(self):
+        bus, _ = make_bus()
+        msg = Message(MessageKind.BID, "P1", ("*",), {"bid": 2.0})
+        first = bus.broadcast_once(msg)
+        assert bus.broadcast_once(msg) is first
+        bus.attach("P4", lambda m: None)
+        assert bus.broadcast_once(msg) == ("P1", "P2", "P3", "P4")
+        bus.detach("P2")
+        assert bus.broadcast_once(msg) == ("P1", "P3", "P4")
+
+    def test_validates_like_broadcast(self):
+        bus, _ = make_bus()
+        with pytest.raises(ValueError):
+            bus.broadcast_once(Message(MessageKind.BID, "P1", ("P2",), {}))
+        with pytest.raises(KeyError):
+            bus.broadcast_once(Message(MessageKind.BID, "X", ("*",), {}))
+
+    def test_engagement_view_records_in_its_scope(self):
+        bus = Bus(0.5)
+        view = bus.scoped("E1")
+        for name in ("P1", "P2"):
+            view.attach(name, lambda m: None)
+        bus.attach("P1", lambda m: None)
+        listeners = view.broadcast_once(
+            Message(MessageKind.BID, "P1", ("*",), {"bid": 1.0}))
+        assert listeners == ("P1", "P2")
+        assert [m.engagement for m in view.log] == ["E1"]
+        assert bus.log == []
+
+    def test_faulty_bus_fans_out_under_an_armed_plan(self):
+        from repro.network.faults import CrashFault, FaultPlan, FaultyBus
+
+        def attach(bus):
+            boxes = {n: [] for n in ("P1", "P2", "P3")}
+            for name, box in boxes.items():
+                bus.attach(name, box.append)
+            return boxes
+
+        msg = Message(MessageKind.BID, "P1", ("*",), {"bid": 2.0})
+        quiet = FaultyBus(0.5, plan=FaultPlan())
+        boxes = attach(quiet)
+        assert quiet.broadcast_once(msg) == ("P1", "P2", "P3")
+        assert all(box == [] for box in boxes.values())
+        armed = FaultyBus(0.5, plan=FaultPlan(
+            crashes=(CrashFault("P3", at_time=0.0),)))
+        boxes = attach(armed)
+        assert armed.broadcast_once(msg) is None
+        assert boxes["P2"] == [msg] and boxes["P3"] == []
+        assert armed.log == [msg]
+
+
 class TestSend:
     def test_unicast(self):
         bus, inboxes = make_bus()

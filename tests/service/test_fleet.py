@@ -253,6 +253,26 @@ class TestCachePeeking:
             assert dispatcher.counters.failovers == 1
 
 
+class TestOversizedRequest:
+    def test_oversized_request_does_not_quarantine_healthy_daemons(self):
+        from tests.service.test_tcp import oversized_request
+
+        request = EngagementRequest(w=W, z=Z, num_blocks=20)
+        with EmbeddedFleet(2) as fleet:
+            dispatcher = fleet.dispatcher()
+            response = dispatcher.submit(oversized_request())
+            # The owner answers; a bad request is not a dead daemon, so
+            # nothing walks the failover ring or gets quarantined.
+            assert response["ok"] is False
+            assert response["error"]["code"] == "invalid-request"
+            assert response["error"]["reason"] == "too-large"
+            assert dispatcher.quarantined == ()
+            assert dispatcher.counters.failovers == 0
+            assert dispatcher.counters.unavailable == 0
+            assert dispatcher.request(request).digest() == \
+                execute(request).digest()
+
+
 class TestWorkerChaos:
     def test_poisoned_request_fails_alone_in_fleet(self):
         poison = one_shot_plan("fleet-poison", {"n": 1})

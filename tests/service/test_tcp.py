@@ -8,6 +8,7 @@ tests pin the PR 9 fix: a dead TCP endpoint fails in bounded time with
 socket path always has.
 """
 
+import json
 import socket
 import time
 
@@ -126,3 +127,55 @@ class TestConnectTimeout:
             # timeout < default connect timeout: the tighter one wins.
             connect(f"127.0.0.1:{port}", timeout=0.5)
         assert time.monotonic() - start < 10.0
+
+
+def oversized_request() -> EngagementRequest:
+    """A valid engagement whose request line exceeds the daemon limit."""
+    from repro.service.daemon import MAX_REQUEST_BYTES
+
+    req = EngagementRequest(
+        w=tuple(1.0 + i / 7 for i in range(MAX_REQUEST_BYTES // 16)), z=Z)
+    assert len(json.dumps(req.to_dict())) > MAX_REQUEST_BYTES
+    return req
+
+
+@pytest.fixture(scope="module", params=["unix", "tcp"])
+def any_client(request):
+    tcp = "127.0.0.1:0" if request.param == "tcp" else None
+    with ServiceClient(tcp=tcp, warm=False) as client:
+        yield client
+
+
+class TestRequestSizeLimit:
+    """Lines over asyncio's default 64 KiB limit are read; lines over
+    the daemon's own limit are answered ``too-large``, not reset."""
+
+    def test_line_over_64_kib_is_parsed(self, any_client):
+        # m = 6000 is ~115 KB on the wire; an invalid z keeps it cheap,
+        # and the validation error proves the daemon parsed the line.
+        response = any_client.raw_request(
+            {"schema": "repro/api/v1", "type": "engagement",
+             "w": [1.0 + i / 7 for i in range(6000)], "z": -1.0})
+        assert response["ok"] is False
+        assert response["error"]["code"] == "invalid-request"
+        assert "reason" not in response["error"]
+
+    def test_oversized_line_is_answered_too_large(self, any_client):
+        response = any_client.raw_request(oversized_request().to_dict())
+        assert response["ok"] is False
+        assert response["error"]["code"] == "invalid-request"
+        assert response["error"]["reason"] == "too-large"
+        assert any_client.ping()["pong"] is True
+
+    def test_connection_stays_in_sync_after_oversized_line(self,
+                                                           any_client):
+        big = json.dumps({"id": "big", **oversized_request().to_dict()})
+        with connect(any_client.endpoint, timeout=60) as sock:
+            sock.sendall(big.encode() + b"\n"
+                         + json.dumps({"id": 2, "op": "ping"}).encode()
+                         + b"\n")
+            stream = sock.makefile("rb")
+            first = json.loads(stream.readline())
+            second = json.loads(stream.readline())
+        assert (first["id"], first["error"]["reason"]) == ("big", "too-large")
+        assert (second["id"], second["ok"]) == (2, True)
