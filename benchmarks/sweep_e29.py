@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.analysis.strategyproofness import surface_plan
 from repro.dlt.platform import BusNetwork, NetworkKind
-from repro.sweep import run_plan
+from repro.sweep import RunOptions, run_plan
 
 
 def reference_plan(m: int = 512):
@@ -44,7 +44,7 @@ def time_run(plan, workers: int, repeats: int = 3):
     best, digest = float("inf"), None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = run_plan(plan, workers=workers)
+        result = run_plan(plan, RunOptions(workers=workers))
         best = min(best, time.perf_counter() - t0)
         digest = result.digest()
     return best, digest

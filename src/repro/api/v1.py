@@ -8,6 +8,12 @@ CLI subcommands construct these objects from argv; the request service
 the same executors in :mod:`repro.api.execute`, which is what makes a
 service answer byte-comparable with a direct library call.
 
+Each field declares its wire rule once, next to the field, as a
+:class:`FieldSpec` (``_int(100, minimum=1)``, ``_choice("fifo", ...)``,
+``sparse=True``, ...).  One generic ``__post_init__`` applies the
+specs, one generic ``to_dict`` encodes every type, and a per-type
+``_validate`` hook holds only the rules that relate several fields.
+
 Stability contract
 ------------------
 * ``to_dict`` / ``from_dict`` round-trip exactly: every field is plain
@@ -26,16 +32,25 @@ Stability contract
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 from repro.api import registry as _registry
-from repro.sweep.spec import PLAN_FORMAT, SweepPlan, canonical_json
+from repro.sweep.spec import (
+    PLAN_FORMAT,
+    SweepPlan,
+    canonical_json,
+    digest_records,
+)
 
 __all__ = [
     "SCHEMA",
     "ApiError",
+    "FieldSpec",
+    "field_specs",
     "EngagementRequest",
     "MultiEngagementRequest",
     "SweepRequest",
@@ -59,6 +74,8 @@ SCHEMA = "repro/api/v1"
 _ENGAGEMENT_KINDS = ("ncp-fe", "ncp-nfe")
 _BIDDING_MODES = ("atomic", "commit", "naive")
 _REDUNDANCY_MODES = ("memoized", "independent")
+_ARBITER_POLICIES = ("fifo", "sjf", "rr")
+_RECORD_FORMAT = "repro/protocol-result/v1"
 
 #: Fields of a protocol-result record that constitute the *settlement*
 #: — what the mechanism decided — as opposed to operational telemetry
@@ -95,31 +112,29 @@ def settlement_digest(record: Mapping[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# value checks
 # ---------------------------------------------------------------------------
 
 def _fail(message: str) -> None:
     raise ApiError(message)
 
 
-def _check_number(name: str, value, *, minimum=None, maximum=None,
-                  exclusive_min=False, exclusive_max=False) -> float:
+def _check_number(name: str, value, *, gt=None, ge=None, lt=None,
+                  le=None) -> float:
     try:
         out = float(value)
     except (TypeError, ValueError):
         _fail(f"{name} must be a number; got {value!r}")
     if out != out or out in (float("inf"), float("-inf")):
         _fail(f"{name} must be finite; got {value!r}")
-    if minimum is not None:
-        if exclusive_min and not out > minimum:
-            _fail(f"{name} must be > {minimum}; got {value!r}")
-        if not exclusive_min and not out >= minimum:
-            _fail(f"{name} must be >= {minimum}; got {value!r}")
-    if maximum is not None:
-        if exclusive_max and not out < maximum:
-            _fail(f"{name} must be < {maximum}; got {value!r}")
-        if not exclusive_max and not out <= maximum:
-            _fail(f"{name} must be <= {maximum}; got {value!r}")
+    if gt is not None and not out > gt:
+        _fail(f"{name} must be > {gt}; got {value!r}")
+    if ge is not None and not out >= ge:
+        _fail(f"{name} must be >= {ge}; got {value!r}")
+    if lt is not None and not out < lt:
+        _fail(f"{name} must be < {lt}; got {value!r}")
+    if le is not None and not out <= le:
+        _fail(f"{name} must be <= {le}; got {value!r}")
     return out
 
 
@@ -137,56 +152,293 @@ def _check_int(name: str, value, *, minimum=None) -> int:
     return int(value)
 
 
-def _check_choice(name: str, value, choices) -> str:
-    if value not in choices:
-        _fail(f"{name} must be one of {list(choices)}; got {value!r}")
+def _check_indices(name: str, pairs, limit: int, population: str) -> None:
+    """Cross-field rule: every pair's index addresses one of *limit*."""
+    for idx, _ in pairs:
+        if idx >= limit:
+            _fail(f"{name} {idx} out of range for {population}")
+
+
+def _number(**bounds) -> Callable:
+    return lambda name, value: _check_number(name, value, **bounds)
+
+
+def _boolean(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        _fail(f"{name} must be true or false; got {value!r}")
     return value
 
 
-def _envelope(data: Mapping[str, Any], expected_type: str,
-              cls) -> dict[str, Any]:
-    """Validate the ``schema``/``type`` envelope; return the body."""
-    if not isinstance(data, Mapping):
-        _fail(f"a {expected_type} payload must be a JSON object; "
-              f"got {type(data).__name__}")
-    schema = data.get("schema")
-    if schema != SCHEMA:
-        _fail(f"expected schema {SCHEMA!r}; got {schema!r} "
-              f"(is this payload from a newer API version?)")
-    kind = data.get("type")
-    if kind != expected_type:
-        _fail(f"expected type {expected_type!r}; got {kind!r}")
-    body = {k: v for k, v in data.items() if k not in ("schema", "type")}
-    valid = {f.name for f in fields(cls)}
-    unknown = sorted(set(body) - valid)
-    if unknown:
-        _fail(f"unknown {expected_type} field(s) {unknown}; "
-              f"valid fields: {sorted(valid)}")
-    return body
+def _typename(value) -> str:
+    return type(value).__name__
 
 
-def _tagged(kind: str, body: dict) -> dict:
-    return {"schema": SCHEMA, "type": kind, **body}
+def _named(what: str, catalogue: Callable[[], list]) -> Callable:
+    """Check a name against a catalogue imported on first use (the
+    agent and quorum layers import this package's parents)."""
+    def check(name, value):
+        names = catalogue()
+        if value not in names:
+            _fail(f"unknown {what} {value!r}; choose from {names}")
+        return str(value)
+    return check
+
+
+@functools.cache
+def _deviation_names() -> list:
+    from repro.agents.behaviors import Deviation
+
+    return sorted(d.value for d in Deviation)
+
+
+@functools.cache
+def _referee_strategies() -> list:
+    from repro.core.quorum import BYZANTINE_STRATEGIES
+
+    return list(BYZANTINE_STRATEGIES)
+
+
+def _seq(must: str, item=None, *, min_len=0, into=tuple) -> Callable:
+    """A list (``"{name} must {must}"`` otherwise); *item* checks each
+    entry as ``{name}[i]``."""
+    def check(name, value):
+        if not isinstance(value, (list, tuple)) or len(value) < min_len:
+            _fail(f"{name} must {must}; got {value!r}")
+        if item is None:
+            return into(value)
+        return into(item(f"{name}[{i}]", v) for i, v in enumerate(value))
+    return check
+
+
+def _obj(must: str, of=None, *, key=None, got=repr) -> Callable:
+    """An object (``"{name} must {must}"`` otherwise), holding *key* if
+    given; *of* checks each value as ``{name}[key]``, keys as strings."""
+    def check(name, value):
+        if not isinstance(value, Mapping) or (key and key not in value):
+            _fail(f"{name} must {must}; got {got(value)}")
+        if of is None:
+            return dict(value)
+        return {str(k): of(f"{name}[{k!r}]", v) for k, v in value.items()}
+    return check
+
+
+def _sweep_plan(name: str, value):
+    if not isinstance(value, Mapping):
+        _fail(f"{name} must be a {PLAN_FORMAT} JSON object; "
+              f"got {_typename(value)}")
+    try:
+        SweepPlan.from_dict(value)
+    except ValueError as exc:
+        _fail(f"{name} is not a valid {PLAN_FORMAT} payload: {exc}")
+    return value
+
+
+def _protocol_record(name: str, value):
+    if not isinstance(value, Mapping):
+        _fail(f"{name} must be a {_RECORD_FORMAT} object; "
+              f"got {_typename(value)}")
+    fmt = value.get("format")
+    if fmt != _RECORD_FORMAT:
+        _fail(f"{name}.format must be '{_RECORD_FORMAT}'; got {fmt!r}")
+    return value
+
+
+def _protocol_records(name: str, value) -> dict:
+    if not isinstance(value, Mapping) or not value:
+        _fail(f"{name} must map engagement ids to {_RECORD_FORMAT} "
+              f"objects; got {value!r}")
+    for eid, rec in value.items():
+        if not isinstance(rec, Mapping) or rec.get("format") != _RECORD_FORMAT:
+            _fail(f"{name}[{eid!r}] must be a {_RECORD_FORMAT} object")
+    return dict(value)
+
+
+def _stream_digest(name: str, value) -> str:
+    if not isinstance(value, str) or not value:
+        _fail(f"{name} must be the run's stream digest (a hex string); "
+              f"got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# field specs
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FieldSpec:
+    """The wire rule of one v1 field, carried in its field metadata.
+
+    ``check(name, value)`` validates a constructor argument and returns
+    its normalized value (``None``: taken as given).  A ``sparse`` field
+    is omitted from :meth:`_Payload.to_dict` at its ``default``, so
+    fields added after the first v1 emissions leave older payloads and
+    their digests byte-identical.  ``type``, ``choices`` and ``help``
+    describe the field to generated command-line flags
+    (``repro market``).
+    """
+
+    default: Any = None
+    check: Callable[[str, Any], Any] | None = None
+    sparse: bool = False
+    type: type | None = None
+    choices: tuple | None = None
+    help: str | None = None
+
+
+def _spec(default, check=None, **spec):
+    """A dataclass field carrying its :class:`FieldSpec`."""
+    meta = {"v1": FieldSpec(default, check, **spec)}
+    if isinstance(default, dict):
+        return field(default_factory=dict, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def _int(default, *, minimum=None, **spec):
+    def check(name, value):
+        if value is None and default is None:
+            return None
+        return _check_int(name, value, minimum=minimum)
+    return _spec(default, check, type=int, **spec)
+
+
+def _num(default, *, gt=None, ge=None, lt=None, le=None, **spec):
+    return _spec(default, _number(gt=gt, ge=ge, lt=lt, le=le), type=float,
+                 **spec)
+
+
+def _choice(default, choices, *, explain=None, **spec):
+    """One of *choices*; *explain* maps a tempting wrong value to its own
+    message."""
+    def check(name, value):
+        if value not in choices:
+            if isinstance(value, str) and value in (explain or {}):
+                _fail(explain[value])
+            _fail(f"{name} must be one of {list(choices)}; got {value!r}")
+        return value
+    return _spec(default, check, choices=choices, **spec)
+
+
+def _pairs(first: str, second: str, check_second, **spec):
+    """A tuple of ``[first, second]`` pairs, *first* a non-negative
+    integer index (its upper bound is a cross-field rule)."""
+    def check(name, value):
+        pairs = []
+        for entry in value:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                _fail(f"each {name} entry must be [{first}, {second}]; "
+                      f"got {entry!r}")
+            pairs.append((_check_int(f"{name} {first}", entry[0], minimum=0),
+                          check_second(f"{name} {second}", entry[1])))
+        return tuple(pairs)
+    return _spec((), check, **spec)
+
+
+def _deviants():
+    """``[index, deviation-name]`` pairs: resident deviating agents."""
+    return _pairs("index", "name", _named("deviation", _deviation_names))
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _plain(value):
+    """JSON-ready copy of a non-scalar: tuples become lists, mappings
+    are copied one level deep."""
+    if isinstance(value, (tuple, list)):
+        return [v if type(v) in _SCALARS else _plain(v) for v in value]
+    if isinstance(value, Mapping):
+        return dict(value)
+    return value
+
+
+def _v1(cls):
+    """Declare a v1 value type: a frozen dataclass whose field specs are
+    tabulated once, here, rather than on every construction."""
+    cls = dataclass(frozen=True)(cls)
+    cls._SPECS = MappingProxyType({
+        f.name: f.metadata.get("v1") or FieldSpec(f.default)
+        for f in fields(cls)})
+    cls._CHECKS = tuple((name, spec.check)
+                        for name, spec in cls._SPECS.items() if spec.check)
+    return cls
+
+
+def field_specs(cls) -> Mapping[str, FieldSpec]:
+    """Field name -> :class:`FieldSpec` of a v1 type, in declaration
+    (wire) order."""
+    return cls._SPECS
 
 
 class _Payload:
-    """Shared canonical-encoding plumbing for every v1 value type."""
+    """Shared validation and canonical-encoding plumbing for every v1
+    value type (declared with :func:`_v1`)."""
 
     TYPE = ""  # overridden
 
+    def __post_init__(self) -> None:
+        for name, check in self._CHECKS:
+            object.__setattr__(self, name, check(name, getattr(self, name)))
+        self._validate()
+
+    def _validate(self) -> None:
+        """Rules relating several fields (none unless overridden)."""
+
+    def _match_digest(self, expected: str, what: str) -> None:
+        """Fill ``digest_value`` in, or refuse one that disagrees with
+        the content it claims to identify."""
+        if not self.digest_value:
+            object.__setattr__(self, "digest_value", expected)
+        elif self.digest_value != expected:
+            _fail(f"digest_value does not match the {what} "
+                  f"(expected {expected}, got {self.digest_value}) — "
+                  "payload corrupted in transit?")
+
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The tagged wire payload: every field in declaration order,
+        sparse fields omitted at their default."""
+        body = {"schema": SCHEMA, "type": self.TYPE}
+        for name, spec in self._SPECS.items():
+            value = getattr(self, name)
+            if not (spec.sparse and value == spec.default):
+                body[name] = (value if type(value) in _SCALARS
+                              else _plain(value))
+        return body
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]):
-        return cls(**_envelope(data, cls.TYPE, cls))
+        """Parse a tagged payload: envelope first, then the fields."""
+        if not isinstance(data, Mapping):
+            _fail(f"a {cls.TYPE} payload must be a JSON object; "
+                  f"got {_typename(data)}")
+        schema = data.get("schema")
+        if schema != SCHEMA:
+            _fail(f"expected schema {SCHEMA!r}; got {schema!r} "
+                  f"(is this payload from a newer API version?)")
+        kind = data.get("type")
+        if kind != cls.TYPE:
+            _fail(f"expected type {cls.TYPE!r}; got {kind!r}")
+        body = {k: v for k, v in data.items() if k not in ("schema", "type")}
+        unknown = sorted(set(body) - cls._SPECS.keys())
+        if unknown:
+            _fail(f"unknown {cls.TYPE} field(s) {unknown}; "
+                  f"valid fields: {sorted(cls._SPECS)}")
+        return cls(**body)
 
     def canonical(self) -> str:
         """Canonical JSON encoding (sorted keys, no whitespace)."""
         return canonical_json(self.to_dict())
 
     def digest(self) -> str:
-        """SHA-256 of :meth:`canonical` — the value's stable identity."""
+        """The value's stable identity.
+
+        A result carrying a ``digest_value`` (settlement, record-stream
+        or round-stream digest) *is* that digest, so telemetry such as
+        ``cached`` never changes it; anything else is the SHA-256 of
+        :meth:`canonical`.
+        """
+        identity = getattr(self, "digest_value", None)
+        if identity is not None:
+            return identity
         return hashlib.sha256(self.canonical().encode("ascii")).hexdigest()
 
 
@@ -194,7 +446,7 @@ class _Payload:
 # requests
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_v1
 class EngagementRequest(_Payload):
     """One DLS-BL-NCP engagement, fully described as plain data.
 
@@ -213,132 +465,50 @@ class EngagementRequest(_Payload):
 
     TYPE = "engagement"
 
-    w: tuple[float, ...] = ()
-    z: float = 0.0
-    kind: str = "ncp-fe"
-    num_blocks: int = 120
-    bidding_mode: str = "atomic"
-    fine_factor: float = 2.0
-    redundancy: str = "memoized"
-    deviants: tuple[tuple[int, str], ...] = ()
-    crash: tuple[tuple[int, float], ...] = ()
-    drop_rate: float = 0.0
-    seed: int | None = None
-    pki_seed: int | None = None
-    committee: int = 0
-    byzantine: tuple[tuple[int, str], ...] = ()
+    w: tuple[float, ...] = _spec((), _seq(
+        "list at least 2 per-unit processing times", _number(gt=0.0),
+        min_len=2))
+    z: float = _num(0.0, gt=0.0)
+    kind: str = _choice("ncp-fe", _ENGAGEMENT_KINDS, explain={
+        "cp": "kind 'cp' has a trusted control processor — engagements "
+              "run the distributed protocol; use the `mechanism` "
+              "subcommand / repro.core.DLSBL for the CP system, or one "
+              f"of {list(_ENGAGEMENT_KINDS)}"})
+    num_blocks: int = _int(120, minimum=1)
+    bidding_mode: str = _choice("atomic", _BIDDING_MODES)
+    fine_factor: float = _num(2.0, gt=0.0)
+    redundancy: str = _choice("memoized", _REDUNDANCY_MODES)
+    deviants: tuple[tuple[int, str], ...] = _deviants()
+    crash: tuple[tuple[int, float], ...] = _pairs(
+        "index", "progress", _number(ge=0.0, le=1.0))
+    drop_rate: float = _num(0.0, ge=0.0, lt=1.0)
+    seed: int | None = _int(None)
+    pki_seed: int | None = _int(None)
+    committee: int = _int(0, minimum=0, sparse=True)
+    byzantine: tuple[tuple[int, str], ...] = _pairs(
+        "seat", "strategy", _named("referee strategy", _referee_strategies),
+        sparse=True)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.w, (list, tuple)) or len(self.w) < 2:
-            _fail("w must list at least 2 per-unit processing times; "
-                  f"got {self.w!r}")
-        w = tuple(_check_number(f"w[{i}]", x, minimum=0.0, exclusive_min=True)
-                  for i, x in enumerate(self.w))
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "z", _check_number(
-            "z", self.z, minimum=0.0, exclusive_min=True))
-        if self.kind == "cp":
-            _fail("kind 'cp' has a trusted control processor — engagements "
-                  "run the distributed protocol; use the `mechanism` "
-                  "subcommand / repro.core.DLSBL for the CP system, or one "
-                  f"of {list(_ENGAGEMENT_KINDS)}")
-        _check_choice("kind", self.kind, _ENGAGEMENT_KINDS)
-        object.__setattr__(self, "num_blocks", _check_int(
-            "num_blocks", self.num_blocks, minimum=1))
-        _check_choice("bidding_mode", self.bidding_mode, _BIDDING_MODES)
-        _check_choice("redundancy", self.redundancy, _REDUNDANCY_MODES)
-        object.__setattr__(self, "fine_factor", _check_number(
-            "fine_factor", self.fine_factor, minimum=0.0, exclusive_min=True))
-        object.__setattr__(self, "drop_rate", _check_number(
-            "drop_rate", self.drop_rate, minimum=0.0, maximum=1.0,
-            exclusive_max=True))
-
-        from repro.agents.behaviors import Deviation
-
-        valid_devs = sorted(d.value for d in Deviation)
-        deviants = []
-        for entry in self.deviants:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                _fail(f"each deviants entry must be [index, name]; "
-                      f"got {entry!r}")
-            idx = _check_int("deviants index", entry[0], minimum=0)
-            if idx >= len(w):
-                _fail(f"deviants index {idx} out of range for "
-                      f"{len(w)} processors")
-            if entry[1] not in valid_devs:
-                _fail(f"unknown deviation {entry[1]!r}; "
-                      f"choose from {valid_devs}")
-            deviants.append((idx, str(entry[1])))
-        object.__setattr__(self, "deviants", tuple(deviants))
-
-        crash = []
-        for entry in self.crash:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                _fail(f"each crash entry must be [index, progress]; "
-                      f"got {entry!r}")
-            idx = _check_int("crash index", entry[0], minimum=0)
-            if idx >= len(w):
-                _fail(f"crash index {idx} out of range for "
-                      f"{len(w)} processors")
-            progress = _check_number("crash progress", entry[1],
-                                     minimum=0.0, maximum=1.0)
-            crash.append((idx, progress))
-        object.__setattr__(self, "crash", tuple(crash))
-        if self.seed is not None:
-            object.__setattr__(self, "seed", _check_int("seed", self.seed))
-        if self.pki_seed is not None:
-            object.__setattr__(self, "pki_seed",
-                               _check_int("pki_seed", self.pki_seed))
-
-        object.__setattr__(self, "committee", _check_int(
-            "committee", self.committee, minimum=0))
-        from repro.core.quorum import BYZANTINE_STRATEGIES, tolerated_faults
-
-        if self.byzantine and not self.committee:
+    def _validate(self) -> None:
+        m = len(self.w)
+        _check_indices("deviants index", self.deviants, m, f"{m} processors")
+        _check_indices("crash index", self.crash, m, f"{m} processors")
+        if not self.byzantine:
+            return
+        if not self.committee:
             _fail("byzantine referees need a committee; set committee >= 1")
-        byzantine = []
-        for entry in self.byzantine:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                _fail(f"each byzantine entry must be [seat, strategy]; "
-                      f"got {entry!r}")
-            seat = _check_int("byzantine seat", entry[0], minimum=0)
-            if seat >= self.committee:
-                _fail(f"byzantine seat {seat} out of range for a "
-                      f"{self.committee}-member committee")
-            if entry[1] not in BYZANTINE_STRATEGIES:
-                _fail(f"unknown referee strategy {entry[1]!r}; "
-                      f"choose from {list(BYZANTINE_STRATEGIES)}")
-            byzantine.append((seat, str(entry[1])))
-        if len({s for s, _ in byzantine}) != len(byzantine):
-            _fail("byzantine seats must be distinct; "
-                  f"got {[s for s, _ in byzantine]}")
+        _check_indices("byzantine seat", self.byzantine, self.committee,
+                       f"a {self.committee}-member committee")
+        seats = [s for s, _ in self.byzantine]
+        if len(set(seats)) != len(seats):
+            _fail(f"byzantine seats must be distinct; got {seats}")
+        from repro.core.quorum import tolerated_faults
+
         limit = tolerated_faults(self.committee)
-        if len(byzantine) > limit:
+        if len(seats) > limit:
             _fail(f"a {self.committee}-member committee tolerates at most "
                   f"{limit} Byzantine member(s) (f = (N-1)//3); "
-                  f"got {len(byzantine)}")
-        object.__setattr__(self, "byzantine", tuple(byzantine))
-
-    def to_dict(self) -> dict:
-        return _tagged(self.TYPE, {
-            "w": list(self.w),
-            "z": self.z,
-            "kind": self.kind,
-            "num_blocks": self.num_blocks,
-            "bidding_mode": self.bidding_mode,
-            "fine_factor": self.fine_factor,
-            "redundancy": self.redundancy,
-            "deviants": [list(d) for d in self.deviants],
-            "crash": [list(c) for c in self.crash],
-            "drop_rate": self.drop_rate,
-            "seed": self.seed,
-            "pki_seed": self.pki_seed,
-            # Sparse: omitted at defaults so pre-committee payloads and
-            # digests are byte-identical to earlier v1 emissions.
-            **({"committee": self.committee} if self.committee else {}),
-            **({"byzantine": [list(b) for b in self.byzantine]}
-               if self.byzantine else {}),
-        })
+                  f"got {len(seats)}")
 
     def engine_config(self, *, memo=None, signature_cache=None):
         """The :class:`repro.core.dls_bl_ncp.EngineConfig` this request
@@ -389,65 +559,33 @@ class EngagementRequest(_Payload):
         )
 
 
-@dataclass(frozen=True)
+@_v1
 class SweepRequest(_Payload):
     """A sweep plan (``repro/sweep-plan/v1`` payload) plus execution
     options the server may honour (``workers``)."""
 
     TYPE = "sweep"
 
-    plan: dict = field(default_factory=dict)
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "workers",
-                           _check_int("workers", self.workers, minimum=1))
-        if not isinstance(self.plan, Mapping):
-            _fail(f"plan must be a {PLAN_FORMAT} JSON object; "
-                  f"got {type(self.plan).__name__}")
-        try:
-            self.build_plan()
-        except ValueError as exc:
-            _fail(f"plan is not a valid {PLAN_FORMAT} payload: {exc}")
+    plan: dict = _spec({}, _sweep_plan)
+    workers: int = _int(1, minimum=1)
 
     def build_plan(self) -> SweepPlan:
         """Parse the embedded plan into a :class:`SweepPlan`."""
         return SweepPlan.from_dict(self.plan)
 
-    def to_dict(self) -> dict:
-        return _tagged(self.TYPE, {
-            "plan": dict(self.plan),
-            "workers": self.workers,
-        })
 
-
-@dataclass(frozen=True)
+@_v1
 class BenchRequest(_Payload):
     """One pass of the perf kernels (no regression gate, no report
     file — a measurement, so the service never caches it)."""
 
     TYPE = "bench"
 
-    quick: bool = True
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.quick, bool):
-            _fail(f"quick must be true or false; got {self.quick!r}")
-        object.__setattr__(self, "workers",
-                           _check_int("workers", self.workers, minimum=1))
-
-    def to_dict(self) -> dict:
-        return _tagged(self.TYPE, {
-            "quick": self.quick,
-            "workers": self.workers,
-        })
+    quick: bool = _spec(True, _boolean)
+    workers: int = _int(1, minimum=1)
 
 
-_ARBITER_POLICIES = ("fifo", "sjf", "rr")
-
-
-@dataclass(frozen=True)
+@_v1
 class MultiEngagementRequest(_Payload):
     """K engagements multiplexed over one shared bus, as plain data.
 
@@ -467,45 +605,39 @@ class MultiEngagementRequest(_Payload):
 
     TYPE = "multi-engagement"
 
-    engagements: tuple = ()
-    policy: str = "fifo"
+    engagements: tuple = _spec((), _seq(
+        "list at least 1 engagement payload",
+        _obj("be an engagement payload object", got=_typename), min_len=1))
+    policy: str = _choice("fifo", _ARBITER_POLICIES)
 
-    def __post_init__(self) -> None:
-        _check_choice("policy", self.policy, _ARBITER_POLICIES)
-        if not isinstance(self.engagements, (list, tuple)) \
-                or not self.engagements:
-            _fail("engagements must list at least 1 engagement payload; "
-                  f"got {self.engagements!r}")
-        parsed = []
+    def _validate(self) -> None:
+        subs = []
         for pos, entry in enumerate(self.engagements):
-            if not isinstance(entry, Mapping):
-                _fail(f"engagements[{pos}] must be an engagement payload "
-                      f"object; got {type(entry).__name__}")
             try:
-                parsed.append(EngagementRequest.from_dict(entry))
+                subs.append(EngagementRequest.from_dict(entry))
             except ApiError as exc:
                 _fail(f"engagements[{pos}]: {exc}")
-        z0 = parsed[0].z
-        for pos, sub in enumerate(parsed[1:], start=1):
+        z0 = subs[0].z
+        for pos, sub in enumerate(subs[1:], start=1):
             if abs(sub.z - z0) > 1e-12:
                 _fail(f"engagements sharing a bus share its z; "
                       f"engagements[0].z = {z0} but "
                       f"engagements[{pos}].z = {sub.z}")
-        object.__setattr__(self, "engagements",
-                           tuple(dict(e) for e in self.engagements))
+        # Kept (outside the dataclass fields, so equality, the wire
+        # shape and the digest are unaffected) for sub_requests().
+        object.__setattr__(self, "_subs", tuple(subs))
 
     @property
     def z(self) -> float:
-        return float(self.engagements[0]["z"])
+        return self._subs[0].z
 
     @property
     def engagement_ids(self) -> tuple[str, ...]:
         return tuple(f"E{i + 1}" for i in range(len(self.engagements)))
 
     def sub_requests(self) -> tuple[EngagementRequest, ...]:
-        """The embedded engagements, parsed."""
-        return tuple(EngagementRequest.from_dict(e)
-                     for e in self.engagements)
+        """The embedded engagements, parsed (once, at construction)."""
+        return self._subs
 
     def jobs(self, *, memo=None, signature_cache=None) -> tuple:
         """The :class:`repro.protocol.arbiter.EngagementJob` tuple this
@@ -522,14 +654,8 @@ class MultiEngagementRequest(_Payload):
                                          signature_cache=signature_cache))
             for eid, sub in zip(self.engagement_ids, self.sub_requests()))
 
-    def to_dict(self) -> dict:
-        return _tagged(self.TYPE, {
-            "engagements": [dict(e) for e in self.engagements],
-            "policy": self.policy,
-        })
 
-
-@dataclass(frozen=True)
+@_v1
 class MarketRequest(_Payload):
     """A seeded long-horizon market simulation, as plain data.
 
@@ -550,127 +676,64 @@ class MarketRequest(_Payload):
     model (``reputation_decay``, ``admission_floor`` — see DESIGN.md
     §4.14).  ``window`` sets the bucket width of the windowed
     timeseries in the result.
+
+    The ``help`` texts are the ``repro market`` flags' help.
     """
 
     TYPE = "market"
 
-    rounds: int = 100
-    seed: int = 0
-    z: float = 0.4
-    kind: str = "ncp-fe"
-    num_blocks: int = 16
-    fine_factor: float = 2.0
-    processors: int = 6
-    cohort: int = 3
-    w_low: float = 1.5
-    w_high: float = 6.0
-    arrival_rate: float = 2.0
-    contention_window: float = 0.0
-    max_contention: int = 3
-    policy: str = "fifo"
-    join_rate: float = 0.0
-    leave_rate: float = 0.0
-    deviants: tuple[tuple[int, str], ...] = ()
-    reputation_decay: float = 0.8
-    admission_floor: float = 0.2
-    window: int = 25
+    rounds: int = _int(100, minimum=1, help="market rounds to simulate")
+    seed: int = _int(0, help="run seed (same seed = same stream digest)")
+    z: float = _num(0.4, gt=0.0, help="per-unit bus communication time")
+    kind: str = _choice("ncp-fe", _ENGAGEMENT_KINDS,
+                        help="engagement system model")
+    num_blocks: int = _int(16, minimum=1,
+                           help="load blocks per engagement")
+    fine_factor: float = _num(2.0, gt=0.0)
+    processors: int = _int(6, minimum=2, help="founding population size")
+    cohort: int = _int(3, minimum=2, help="processors hired per engagement")
+    w_low: float = _num(1.5, gt=0.0)
+    w_high: float = _num(6.0)
+    arrival_rate: float = _num(2.0, gt=0.0,
+                               help="engagement arrivals per unit time")
+    contention_window: float = _num(
+        0.0, ge=0.0, help="arrivals closer than this contend for the bus "
+                          "in one round (0: every round solo)")
+    max_contention: int = _int(
+        3, minimum=1, help="max engagements sharing one contended round")
+    policy: str = _choice("fifo", _ARBITER_POLICIES,
+                          help="bus-window policy for contended rounds")
+    join_rate: float = _num(0.0, ge=0.0, le=1.0,
+                            help="per-round probability a processor joins")
+    leave_rate: float = _num(
+        0.0, ge=0.0, le=1.0, help="per-round probability a processor "
+                                  "leaves; a hired leaver crashes "
+                                  "mid-round (survivor re-allocation path)")
+    deviants: tuple[tuple[int, str], ...] = _deviants()
+    reputation_decay: float = _num(0.8, ge=0.0, le=1.0,
+                                   help="reputation EMA decay")
+    admission_floor: float = _num(0.2, ge=0.0, lt=1.0,
+                                  help="minimum reputation to be hired")
+    window: int = _int(25, minimum=1,
+                       help="timeseries bucket width in rounds")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rounds",
-                           _check_int("rounds", self.rounds, minimum=1))
-        object.__setattr__(self, "seed", _check_int("seed", self.seed))
-        object.__setattr__(self, "z", _check_number(
-            "z", self.z, minimum=0.0, exclusive_min=True))
-        _check_choice("kind", self.kind, _ENGAGEMENT_KINDS)
-        object.__setattr__(self, "num_blocks", _check_int(
-            "num_blocks", self.num_blocks, minimum=1))
-        object.__setattr__(self, "fine_factor", _check_number(
-            "fine_factor", self.fine_factor, minimum=0.0,
-            exclusive_min=True))
-        object.__setattr__(self, "processors", _check_int(
-            "processors", self.processors, minimum=2))
-        object.__setattr__(self, "cohort",
-                           _check_int("cohort", self.cohort, minimum=2))
+    def _validate(self) -> None:
         if self.cohort > self.processors:
             _fail(f"cohort must be <= processors; got cohort={self.cohort} "
                   f"with processors={self.processors}")
-        object.__setattr__(self, "w_low", _check_number(
-            "w_low", self.w_low, minimum=0.0, exclusive_min=True))
-        object.__setattr__(self, "w_high", _check_number(
-            "w_high", self.w_high, minimum=self.w_low))
-        object.__setattr__(self, "arrival_rate", _check_number(
-            "arrival_rate", self.arrival_rate, minimum=0.0,
-            exclusive_min=True))
-        object.__setattr__(self, "contention_window", _check_number(
-            "contention_window", self.contention_window, minimum=0.0))
-        object.__setattr__(self, "max_contention", _check_int(
-            "max_contention", self.max_contention, minimum=1))
-        _check_choice("policy", self.policy, _ARBITER_POLICIES)
-        object.__setattr__(self, "join_rate", _check_number(
-            "join_rate", self.join_rate, minimum=0.0, maximum=1.0))
-        object.__setattr__(self, "leave_rate", _check_number(
-            "leave_rate", self.leave_rate, minimum=0.0, maximum=1.0))
-
-        from repro.agents.behaviors import Deviation
-
-        valid_devs = sorted(d.value for d in Deviation)
-        deviants = []
-        for entry in self.deviants:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                _fail(f"each deviants entry must be [index, name]; "
-                      f"got {entry!r}")
-            idx = _check_int("deviants index", entry[0], minimum=0)
-            if idx >= self.processors:
-                _fail(f"deviants index {idx} out of range for "
-                      f"{self.processors} processors")
-            if entry[1] not in valid_devs:
-                _fail(f"unknown deviation {entry[1]!r}; "
-                      f"choose from {valid_devs}")
-            deviants.append((idx, str(entry[1])))
-        object.__setattr__(self, "deviants", tuple(deviants))
-        if len({i for i, _ in deviants}) >= self.processors:
+        _check_number("w_high", self.w_high, ge=self.w_low)
+        _check_indices("deviants index", self.deviants, self.processors,
+                       f"{self.processors} processors")
+        if len({i for i, _ in self.deviants}) >= self.processors:
             _fail("deviants cannot cover the whole founding population; "
                   "leave at least one honest processor")
-
-        object.__setattr__(self, "reputation_decay", _check_number(
-            "reputation_decay", self.reputation_decay,
-            minimum=0.0, maximum=1.0))
-        object.__setattr__(self, "admission_floor", _check_number(
-            "admission_floor", self.admission_floor,
-            minimum=0.0, maximum=1.0, exclusive_max=True))
-        object.__setattr__(self, "window",
-                           _check_int("window", self.window, minimum=1))
-
-    def to_dict(self) -> dict:
-        return _tagged(self.TYPE, {
-            "rounds": self.rounds,
-            "seed": self.seed,
-            "z": self.z,
-            "kind": self.kind,
-            "num_blocks": self.num_blocks,
-            "fine_factor": self.fine_factor,
-            "processors": self.processors,
-            "cohort": self.cohort,
-            "w_low": self.w_low,
-            "w_high": self.w_high,
-            "arrival_rate": self.arrival_rate,
-            "contention_window": self.contention_window,
-            "max_contention": self.max_contention,
-            "policy": self.policy,
-            "join_rate": self.join_rate,
-            "leave_rate": self.leave_rate,
-            "deviants": [list(d) for d in self.deviants],
-            "reputation_decay": self.reputation_decay,
-            "admission_floor": self.admission_floor,
-            "window": self.window,
-        })
 
 
 # ---------------------------------------------------------------------------
 # results
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_v1
 class EngagementResult(_Payload):
     """Answer to an :class:`EngagementRequest`.
 
@@ -682,18 +745,11 @@ class EngagementResult(_Payload):
 
     TYPE = "engagement-result"
 
-    outcome: dict = field(default_factory=dict)
+    outcome: dict = _spec({}, _protocol_record)
     digest_value: str = ""
     cached: bool = False
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.outcome, Mapping):
-            _fail("outcome must be a repro/protocol-result/v1 object; "
-                  f"got {type(self.outcome).__name__}")
-        fmt = self.outcome.get("format")
-        if fmt != "repro/protocol-result/v1":
-            _fail(f"outcome.format must be 'repro/protocol-result/v1'; "
-                  f"got {fmt!r}")
+    def _validate(self) -> None:
         if not self.digest_value:
             object.__setattr__(self, "digest_value",
                                settlement_digest(self.outcome))
@@ -706,18 +762,8 @@ class EngagementResult(_Payload):
     def spans(self) -> list:
         return list(self.outcome.get("spans", ()))
 
-    def digest(self) -> str:  # the settlement digest IS the identity
-        return self.digest_value
 
-    def to_dict(self) -> dict:
-        return _tagged(self.TYPE, {
-            "outcome": dict(self.outcome),
-            "digest_value": self.digest_value,
-            "cached": self.cached,
-        })
-
-
-@dataclass(frozen=True)
+@_v1
 class SweepResult(_Payload):
     """Answer to a :class:`SweepRequest`.
 
@@ -729,23 +775,14 @@ class SweepResult(_Payload):
 
     TYPE = "sweep-result"
 
-    records: tuple = ()
+    records: tuple = _spec((), _seq("be a list"))
     digest_value: str = ""
     workers: int = 1
     telemetry: dict = field(default_factory=dict)
     cached: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        from repro.sweep.spec import digest_records
-
-        expected = digest_records(self.records)
-        if not self.digest_value:
-            object.__setattr__(self, "digest_value", expected)
-        elif self.digest_value != expected:
-            _fail("digest_value does not match the record stream "
-                  f"(expected {expected}, got {self.digest_value}) — "
-                  "payload corrupted in transit?")
+    def _validate(self) -> None:
+        self._match_digest(digest_records(self.records), "record stream")
 
     @classmethod
     def from_run(cls, run, *, cached: bool = False) -> "SweepResult":
@@ -763,46 +800,21 @@ class SweepResult(_Payload):
             cached=cached,
         )
 
-    def digest(self) -> str:  # the record-stream digest IS the identity
-        return self.digest_value
 
-    def to_dict(self) -> dict:
-        return _tagged(self.TYPE, {
-            "records": list(self.records),
-            "digest_value": self.digest_value,
-            "workers": self.workers,
-            "telemetry": dict(self.telemetry),
-            "cached": self.cached,
-        })
-
-
-@dataclass(frozen=True)
+@_v1
 class BenchResult(_Payload):
     """Answer to a :class:`BenchRequest`: kernel → best-of-N seconds."""
 
     TYPE = "bench-result"
 
-    timings: dict = field(default_factory=dict)
+    timings: dict = _spec({}, _obj("map kernel names to seconds",
+                                   lambda name, value: float(value),
+                                   got=_typename))
     quick: bool = True
     cached: bool = False
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.timings, Mapping):
-            _fail(f"timings must map kernel names to seconds; "
-                  f"got {type(self.timings).__name__}")
-        object.__setattr__(
-            self, "timings",
-            {str(k): float(v) for k, v in self.timings.items()})
 
-    def to_dict(self) -> dict:
-        return _tagged(self.TYPE, {
-            "timings": dict(self.timings),
-            "quick": self.quick,
-            "cached": self.cached,
-        })
-
-
-@dataclass(frozen=True)
+@_v1
 class MultiEngagementResult(_Payload):
     """Answer to a :class:`MultiEngagementRequest`.
 
@@ -819,44 +831,22 @@ class MultiEngagementResult(_Payload):
 
     TYPE = "multi-engagement-result"
 
-    outcomes: dict = field(default_factory=dict)
-    policy: str = "fifo"
-    order: tuple = ()
-    completions: dict = field(default_factory=dict)
+    outcomes: dict = _spec({}, _protocol_records)
+    policy: str = _choice("fifo", _ARBITER_POLICIES)
+    order: tuple = _spec((), _seq("be a list", lambda name, value: str(value)))
+    completions: dict = _spec({}, _obj(
+        "map engagement ids to completion times", _number(ge=0.0)))
     digest_value: str = ""
     cached: bool = False
 
-    def __post_init__(self) -> None:
-        _check_choice("policy", self.policy, _ARBITER_POLICIES)
-        if not isinstance(self.outcomes, Mapping) or not self.outcomes:
-            _fail("outcomes must map engagement ids to "
-                  "repro/protocol-result/v1 objects; got "
-                  f"{self.outcomes!r}")
-        for eid, rec in self.outcomes.items():
-            if not isinstance(rec, Mapping) \
-                    or rec.get("format") != "repro/protocol-result/v1":
-                _fail(f"outcomes[{eid!r}] must be a "
-                      "repro/protocol-result/v1 object")
-        object.__setattr__(self, "outcomes", dict(self.outcomes))
-        object.__setattr__(self, "order",
-                           tuple(str(x) for x in self.order))
+    def _validate(self) -> None:
         if sorted(self.order) != sorted(self.outcomes):
             _fail(f"order {list(self.order)} must be a permutation of the "
                   f"outcome ids {sorted(self.outcomes)}")
-        object.__setattr__(
-            self, "completions",
-            {str(k): _check_number(f"completions[{k!r}]", v, minimum=0.0)
-             for k, v in dict(self.completions).items()})
-        expected = hashlib.sha256(canonical_json(
+        self._match_digest(hashlib.sha256(canonical_json(
             {eid: settlement_digest(rec)
              for eid, rec in self.outcomes.items()}
-        ).encode("ascii")).hexdigest()
-        if not self.digest_value:
-            object.__setattr__(self, "digest_value", expected)
-        elif self.digest_value != expected:
-            _fail("digest_value does not match the settlement map "
-                  f"(expected {expected}, got {self.digest_value}) — "
-                  "payload corrupted in transit?")
+        ).encode("ascii")).hexdigest(), "settlement map")
 
     @property
     def mean_flow_time(self) -> float:
@@ -867,22 +857,8 @@ class MultiEngagementResult(_Payload):
     def makespan(self) -> float:
         return max(self.completions.values()) if self.completions else 0.0
 
-    def digest(self) -> str:  # the settlement map IS the identity
-        return self.digest_value
 
-    def to_dict(self) -> dict:
-        return _tagged(self.TYPE, {
-            "outcomes": {eid: dict(rec)
-                         for eid, rec in self.outcomes.items()},
-            "policy": self.policy,
-            "order": list(self.order),
-            "completions": dict(self.completions),
-            "digest_value": self.digest_value,
-            "cached": self.cached,
-        })
-
-
-@dataclass(frozen=True)
+@_v1
 class MarketResult(_Payload):
     """Answer to a :class:`MarketRequest`.
 
@@ -900,55 +876,17 @@ class MarketResult(_Payload):
 
     TYPE = "market-result"
 
-    rounds: int = 0
-    digest_value: str = ""
-    summary: dict = field(default_factory=dict)
-    series: dict = field(default_factory=dict)
-    reputations: dict = field(default_factory=dict)
+    rounds: int = _int(0, minimum=0)
+    digest_value: str = _spec("", _stream_digest)
+    summary: dict = _spec({}, _obj("be an object"))
+    series: dict = _spec({}, _obj("map series names to value lists",
+                                  _seq("be a list", into=list)))
+    reputations: dict = _spec({}, _obj("map processor ids to scores",
+                                       _number(ge=0.0, le=1.0)))
     cached: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rounds",
-                           _check_int("rounds", self.rounds, minimum=0))
-        if not isinstance(self.digest_value, str) or not self.digest_value:
-            _fail("digest_value must be the run's stream digest "
-                  f"(a hex string); got {self.digest_value!r}")
-        if not isinstance(self.summary, Mapping):
-            _fail(f"summary must be an object; got {self.summary!r}")
-        object.__setattr__(self, "summary", dict(self.summary))
-        if not isinstance(self.series, Mapping):
-            _fail(f"series must map series names to value lists; "
-                  f"got {self.series!r}")
-        series = {}
-        for name, values in self.series.items():
-            if not isinstance(values, (list, tuple)):
-                _fail(f"series[{name!r}] must be a list; got {values!r}")
-            series[str(name)] = list(values)
-        object.__setattr__(self, "series", series)
-        if not isinstance(self.reputations, Mapping):
-            _fail(f"reputations must map processor ids to scores; "
-                  f"got {self.reputations!r}")
-        object.__setattr__(
-            self, "reputations",
-            {str(k): _check_number(f"reputations[{k!r}]", v, minimum=0.0,
-                                   maximum=1.0)
-             for k, v in dict(self.reputations).items()})
 
-    def digest(self) -> str:  # the round-stream digest IS the identity
-        return self.digest_value
-
-    def to_dict(self) -> dict:
-        return _tagged(self.TYPE, {
-            "rounds": self.rounds,
-            "digest_value": self.digest_value,
-            "summary": dict(self.summary),
-            "series": {k: list(v) for k, v in self.series.items()},
-            "reputations": dict(self.reputations),
-            "cached": self.cached,
-        })
-
-
-@dataclass(frozen=True)
+@_v1
 class ServiceStats(_Payload):
     """Service-level counters (answer to a ``stats`` request)."""
 
@@ -970,27 +908,8 @@ class ServiceStats(_Payload):
     latency_p95: float = 0.0
     uptime: float = 0.0
 
-    def to_dict(self) -> dict:
-        return _tagged(self.TYPE, {
-            "requests": self.requests,
-            "by_type": dict(self.by_type),
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "expired": self.expired,
-            "cache_hits": self.cache_hits,
-            "queue_depth": self.queue_depth,
-            "queue_capacity": self.queue_capacity,
-            "in_flight": self.in_flight,
-            "workers": self.workers,
-            "pool_rebuilds": self.pool_rebuilds,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "uptime": self.uptime,
-        })
 
-
-@dataclass(frozen=True)
+@_v1
 class FleetStatsResult(_Payload):
     """Aggregate view of a daemon fleet (answer to ``repro fleet``).
 
@@ -1003,31 +922,13 @@ class FleetStatsResult(_Payload):
 
     TYPE = "fleet-stats-result"
 
-    daemons: tuple = ()
-    dispatcher: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.daemons, (list, tuple)):
-            _fail(f"daemons must be a list; got {self.daemons!r}")
-        for pos, entry in enumerate(self.daemons):
-            if not isinstance(entry, Mapping) or "endpoint" not in entry:
-                _fail(f"daemons[{pos}] must be an object with an "
-                      f"'endpoint'; got {entry!r}")
-        object.__setattr__(self, "daemons",
-                           tuple(dict(d) for d in self.daemons))
-        if not isinstance(self.dispatcher, Mapping):
-            _fail(f"dispatcher must be an object; got {self.dispatcher!r}")
-        object.__setattr__(self, "dispatcher", dict(self.dispatcher))
+    daemons: tuple = _spec((), _seq("be a list", _obj(
+        "be an object with an 'endpoint'", key="endpoint")))
+    dispatcher: dict = _spec({}, _obj("be an object"))
 
     @property
     def healthy(self) -> int:
         return sum(1 for d in self.daemons if d.get("healthy"))
-
-    def to_dict(self) -> dict:
-        return _tagged(self.TYPE, {
-            "daemons": [dict(d) for d in self.daemons],
-            "dispatcher": dict(self.dispatcher),
-        })
 
 
 # ---------------------------------------------------------------------------
@@ -1055,15 +956,7 @@ for _result_cls in (EngagementResult, MultiEngagementResult, SweepResult,
 REQUEST_TYPES: dict[str, type] = _registry.REQUEST_CLASSES
 RESULT_TYPES: dict[str, type] = _registry.RESULT_CLASSES
 
-parse_request = _registry.parse_request
-parse_result = _registry.parse_result
-
-
-def request_from_dict(data: Mapping[str, Any]):
-    """Parse any v1 request payload (dispatch on its ``type`` tag)."""
-    return _registry.parse_request(data)
-
-
-def result_from_dict(data: Mapping[str, Any]):
-    """Parse any v1 result payload (dispatch on its ``type`` tag)."""
-    return _registry.parse_result(data)
+#: Parse any v1 request / result payload, dispatching on its ``type``
+#: tag (the ``*_from_dict`` spellings are the same functions).
+parse_request = request_from_dict = _registry.parse_request
+parse_result = result_from_dict = _registry.parse_result

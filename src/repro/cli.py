@@ -41,7 +41,8 @@ import sys
 
 import numpy as np
 
-from repro.api import ApiError, EngagementRequest, SweepRequest
+from repro.api import ApiError, EngagementRequest, MarketRequest, SweepRequest
+from repro.api.v1 import field_specs
 from repro.api.analysis import format_table, kind_comparison
 from repro.core.dls_bl import DLSBL
 from repro.dlt.closed_form import allocate
@@ -73,12 +74,18 @@ def _kind(value: str) -> NetworkKind:
             f"unknown kind {value!r}; choose from {sorted(_KINDS)}")
 
 
+def _engagement_check(name: str):
+    """The v1 field spec check of one EngagementRequest field."""
+    return field_specs(EngagementRequest)[name].check
+
+
 def _deviation(value: str) -> tuple[int, str]:
     """Parse ``INDEX:deviation-name`` (e.g. ``1:multiple-bids``).
 
-    The name is checked against the deviation catalogue here so a typo
-    fails at argument-parsing time (exit 2, with the valid names);
-    :class:`repro.api.EngagementRequest` re-validates index bounds.
+    The pair is checked by the request's own ``deviants`` spec here so
+    a typo fails at argument-parsing time (exit 2, with the valid
+    names); :class:`repro.api.EngagementRequest` re-validates index
+    bounds.
     """
     try:
         idx_str, name = value.split(":", 1)
@@ -86,30 +93,36 @@ def _deviation(value: str) -> tuple[int, str]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected INDEX:NAME; got {value!r} ({exc})")
-    from repro.agents.behaviors import Deviation
-
-    valid = sorted(d.value for d in Deviation)
-    if name not in valid:
-        raise argparse.ArgumentTypeError(
-            f"unknown deviation {name!r}; choose from {valid}")
-    return idx, name
+    try:
+        return _engagement_check("deviants")("deviants", [(idx, name)])[0]
+    except ApiError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _crash_spec(value: str) -> tuple[int, float]:
     """Parse ``INDEX[:PROGRESS]`` (e.g. ``2:0.5``) for --crash."""
     try:
-        if ":" in value:
-            idx_str, prog_str = value.split(":", 1)
-            idx, progress = int(idx_str), float(prog_str)
-        else:
-            idx, progress = int(value), 0.0
-        if not 0.0 <= progress <= 1.0:
-            raise ValueError("progress must be in [0, 1]")
-        return idx, progress
+        idx_str, sep, prog_str = value.partition(":")
+        pair = (int(idx_str), float(prog_str) if sep else 0.0)
+        return _engagement_check("crash")("crash", [pair])[0]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected INDEX[:PROGRESS] with PROGRESS in [0,1]; "
             f"got {value!r} ({exc})")
+
+
+#: ``repro market`` mirrors every MarketRequest field as a flag except
+#: these; ``deviants`` has the hand-written singular ``--deviant``.
+_MARKET_UNEXPOSED = ("fine_factor", "w_low", "w_high", "deviants")
+#: Where the CLI default deliberately differs from the request's.
+_MARKET_CLI_DEFAULTS = {"rounds": 200}
+
+
+def _market_fields() -> dict:
+    """The MarketRequest field specs ``repro market`` generates flags
+    from, in declaration order."""
+    return {name: spec for name, spec in field_specs(MarketRequest).items()
+            if name not in _MARKET_UNEXPOSED}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,47 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("market",
                        help="long-horizon dynamic market: repeated "
                             "engagements under churn and reputation")
-    p.add_argument("--rounds", type=int, default=200,
-                   help="market rounds to simulate (default 200)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="run seed (same seed = same stream digest)")
-    p.add_argument("--z", type=float, default=0.4,
-                   help="per-unit bus communication time (default 0.4)")
-    p.add_argument("--kind", choices=("ncp-fe", "ncp-nfe"),
-                   default="ncp-fe",
-                   help="engagement system model (default ncp-fe)")
-    p.add_argument("--num-blocks", type=int, default=16,
-                   help="load blocks per engagement (default 16)")
-    p.add_argument("--processors", type=int, default=6,
-                   help="founding population size (default 6)")
-    p.add_argument("--cohort", type=int, default=3,
-                   help="processors hired per engagement (default 3)")
+    for name, spec in _market_fields().items():
+        p.add_argument("--" + name.replace("_", "-"),
+                       type=None if spec.choices else spec.type,
+                       choices=spec.choices,
+                       default=_MARKET_CLI_DEFAULTS.get(name, spec.default),
+                       help=f"{spec.help} (default %(default)s)")
     p.add_argument("--deviant", type=_deviation, action="append",
                    default=[], metavar="INDEX:NAME",
                    help="make founding processor INDEX a resident "
                         "deviant (repeatable), e.g. 0:multiple-bids")
-    p.add_argument("--arrival-rate", type=float, default=2.0,
-                   help="engagement arrivals per unit time (default 2)")
-    p.add_argument("--contention-window", type=float, default=0.0,
-                   help="arrivals closer than this contend for the bus "
-                        "in one round (default 0: every round solo)")
-    p.add_argument("--max-contention", type=int, default=3,
-                   help="max engagements sharing one contended round")
-    p.add_argument("--policy", choices=("fifo", "sjf", "rr"),
-                   default="fifo",
-                   help="bus-window policy for contended rounds")
-    p.add_argument("--join-rate", type=float, default=0.0,
-                   help="per-round probability a processor joins")
-    p.add_argument("--leave-rate", type=float, default=0.0,
-                   help="per-round probability a processor leaves; a "
-                        "hired leaver crashes mid-round (survivor "
-                        "re-allocation path)")
-    p.add_argument("--reputation-decay", type=float, default=0.8,
-                   help="reputation EMA decay (default 0.8)")
-    p.add_argument("--admission-floor", type=float, default=0.2,
-                   help="minimum reputation to be hired (default 0.2)")
-    p.add_argument("--window", type=int, default=25,
-                   help="timeseries bucket width in rounds (default 25)")
     p.add_argument("--verify", action="store_true",
                    help="re-derive every round (serial reference for "
                         "fault-free contended rounds, re-execution "
@@ -1031,7 +1013,6 @@ def cmd_loadgen(args) -> int:
 def cmd_market(args) -> int:
     import json
 
-    from repro.api import MarketRequest
     from repro.api.analysis import (
         extinction_curve,
         fine_frequency,
@@ -1042,15 +1023,8 @@ def cmd_market(args) -> int:
     from repro.market import MarketError, run_market
 
     request = MarketRequest(
-        rounds=args.rounds, seed=args.seed, z=args.z, kind=args.kind,
-        num_blocks=args.num_blocks, processors=args.processors,
-        cohort=args.cohort, deviants=tuple(args.deviant),
-        arrival_rate=args.arrival_rate,
-        contention_window=args.contention_window,
-        max_contention=args.max_contention, policy=args.policy,
-        join_rate=args.join_rate, leave_rate=args.leave_rate,
-        reputation_decay=args.reputation_decay,
-        admission_floor=args.admission_floor, window=args.window)
+        deviants=tuple(args.deviant),
+        **{name: getattr(args, name) for name in _market_fields()})
     try:
         result = run_market(request, verify=args.verify)
     except MarketError as exc:

@@ -28,12 +28,9 @@ from repro.crypto.pki import PKI
 from repro.dlt.platform import NetworkKind
 from repro.network.faults import FaultPlan
 from repro.perf import ComputationCache, SignatureCache
-from repro.protocol.engine import (
-    PhaseDeadlines,
-    ProtocolEngine,
-    ProtocolResult,
-    RetryPolicy,
-)
+from repro.protocol.context import PhaseDeadlines, RetryPolicy
+from repro.protocol.engine import ProtocolEngine
+from repro.protocol.results import ProtocolResult
 
 __all__ = ["NCPOutcome", "EngineConfig", "DLSBLNCP"]
 

@@ -8,7 +8,7 @@ provides stable, versioned JSON codecs for the public value types:
   descriptions (``{"w": [...], "z": ..., "kind": "ncp-fe", ...}``);
 * :class:`~repro.core.dls_bl.MechanismResult` — archival dumps of a
   mechanism round;
-* :class:`~repro.protocol.engine.ProtocolResult` — archival dumps of a
+* :class:`~repro.protocol.results.ProtocolResult` — archival dumps of a
   full protocol run (verdicts flattened to plain data).
 
 Only dumps of *results* are supported (they are records, not inputs);
@@ -23,7 +23,7 @@ from typing import Any
 
 from repro.core.dls_bl import MechanismResult
 from repro.dlt.platform import BusNetwork, NetworkKind
-from repro.protocol.engine import ProtocolResult
+from repro.protocol.results import ProtocolResult
 
 __all__ = [
     "network_to_dict",

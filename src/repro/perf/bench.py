@@ -211,28 +211,18 @@ def _des_kernel(events: int):
     return run
 
 
-def run_bench(*, quick: bool = False, options=None,
-              workers: int | None = None) -> dict[str, float]:
+def run_bench(*, quick: bool = False, options=None) -> dict[str, float]:
     """Time every kernel; returns {kernel: best-of-N seconds}.
 
     ``quick`` keeps the kernel sizes (so numbers stay comparable with
     the checked-in baseline) but halves the repetitions — the CI smoke
-    configuration.  *options* (a :class:`repro.sweep.RunOptions`) is
-    the preferred way to request sharding: ``RunOptions(workers=N)``
-    adds a sharded twin of the sweep kernel (``sweep_surface_m512_wN``)
-    timed over an N-worker pool.  The legacy ``workers=N`` keyword
-    still works but is deprecated (it warns and folds into options).
+    configuration.  *options* (a :class:`repro.sweep.RunOptions`)
+    requests sharding: ``RunOptions(workers=N)`` adds a sharded twin of
+    the sweep kernel (``sweep_surface_m512_wN``) timed over an N-worker
+    pool.
     """
-    import warnings
-
     from repro.sweep import RunOptions
 
-    if workers is not None:
-        warnings.warn(
-            "run_bench(workers=N) is deprecated; pass "
-            "options=RunOptions(workers=N) instead (the result is "
-            "identical)", DeprecationWarning, stacklevel=2)
-        options = RunOptions(workers=workers)
     workers = (options or RunOptions()).workers
     # The cheap kernels get generous best-of rounds — they cost
     # milliseconds each, and the regression gate needs the minimum to

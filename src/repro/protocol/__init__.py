@@ -34,7 +34,8 @@ from repro.protocol.context import (
     PhaseRunner,
     RetryPolicy,
 )
-from repro.protocol.engine import EngagementSession, ProtocolEngine, ProtocolResult
+from repro.protocol.engine import EngagementSession, ProtocolEngine
+from repro.protocol.results import ProtocolResult
 from repro.protocol.arbiter import (
     ArbiterResult,
     BusArbiter,

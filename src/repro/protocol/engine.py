@@ -56,8 +56,7 @@ from repro.protocol.runners import (
 )
 from repro.protocol.trace import PhaseSpan
 
-__all__ = ["PhaseDeadlines", "RetryPolicy", "ProtocolResult", "ProtocolEngine",
-           "EngagementSession"]
+__all__ = ["ProtocolEngine", "EngagementSession"]
 
 # Runners are stateless (state lives on the context): one each suffices.
 _RUNNERS = {

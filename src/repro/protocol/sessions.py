@@ -26,7 +26,8 @@ from repro.agents.processor import ProcessorAgent
 from repro.core.fines import FinePolicy
 from repro.crypto.pki import PKI
 from repro.dlt.platform import NetworkKind
-from repro.protocol.engine import ProtocolEngine, ProtocolResult
+from repro.protocol.engine import ProtocolEngine
+from repro.protocol.results import ProtocolResult
 
 __all__ = ["EngagementRecord", "MarketSession"]
 

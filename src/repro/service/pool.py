@@ -13,18 +13,27 @@ remembers the generation it submitted under and calls
 :meth:`rebuild` with it; only the *first* caller of a generation
 actually rebuilds (the rest see the bumped counter and just resubmit),
 so N concurrent victims of one crash cost one rebuild, not N.
+
+Workers never outlive their daemon: each one watches its parent pid and
+exits as soon as it is re-parented, so a SIGKILLed daemon (which runs
+no shutdown code) leaves no orphaned workers behind.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 
 from repro.service.tcp import close_inherited_listeners, listener_fds
 from repro.service.worker import worker_ping
 
 __all__ = ["WarmPool"]
+
+#: Seconds between a worker's checks that its daemon is still alive.
+PARENT_POLL_S = 0.2
 
 
 def _mp_context():
@@ -35,6 +44,36 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
+def _init_worker(fds, daemon_pid: int) -> None:
+    """Fork-worker initializer: drop inherited listener fds, and exit
+    when the daemon that forked this worker dies.
+
+    A parent-pid watch rather than ``PR_SET_PDEATHSIG``: the kernel
+    signal fires when the *thread* that forked the worker exits, and
+    executors fork from whichever thread submits first.
+    """
+    close_inherited_listeners(fds)
+    threading.Thread(target=_exit_with_parent, args=(daemon_pid,),
+                     name="repro-parent-watch", daemon=True).start()
+
+
+def _exit_with_parent(daemon_pid: int) -> None:
+    while os.getppid() == daemon_pid:
+        time.sleep(PARENT_POLL_S)
+    os._exit(0)
+
+
+def _executor(workers: int) -> ProcessPoolExecutor:
+    # Workers must not hold inherited listener fds: a forked child
+    # keeping a listening socket open keeps the port accepting after
+    # the owning daemon is gone — connects then hang unanswered
+    # instead of being refused (which is what fleet failover keys
+    # on).  The snapshot is taken here, executor-construction time.
+    return ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context(),
+                               initializer=_init_worker,
+                               initargs=(listener_fds(), os.getpid()))
+
+
 class WarmPool:
     """A rebuildable :class:`ProcessPoolExecutor` kept warm for reuse."""
 
@@ -43,20 +82,9 @@ class WarmPool:
         self.generation = 0
         self.rebuilds = 0
         self._lock = threading.Lock()
-        self._executor = self._make()
+        self._executor = _executor(self.workers)
         if warm:
             self.warm_up()
-
-    def _make(self) -> ProcessPoolExecutor:
-        # Workers must not hold inherited listener fds: a forked child
-        # keeping a listening socket open keeps the port accepting after
-        # the owning daemon is gone — connects then hang unanswered
-        # instead of being refused (which is what fleet failover keys
-        # on).  The snapshot is taken here, executor-construction time.
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=_mp_context(),
-                                   initializer=close_inherited_listeners,
-                                   initargs=(listener_fds(),))
 
     def warm_up(self) -> None:
         """Fork every worker now and wait until each answers a ping."""
@@ -84,7 +112,7 @@ class WarmPool:
         with self._lock:
             if seen_generation == self.generation:
                 old = self._executor
-                self._executor = self._make()
+                self._executor = _executor(self.workers)
                 self.generation += 1
                 self.rebuilds += 1
                 try:
@@ -101,9 +129,7 @@ class WarmPool:
         the executor, and a job dying on it cannot break the shared
         workers.
         """
-        return ProcessPoolExecutor(max_workers=1, mp_context=_mp_context(),
-                                   initializer=close_inherited_listeners,
-                                   initargs=(listener_fds(),))
+        return _executor(1)
 
     def shutdown(self, *, wait: bool = True) -> None:
         with self._lock:

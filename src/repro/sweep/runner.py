@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.sweep.aggregate import PhaseTotals, TrafficTotals, aggregate_records
@@ -50,9 +49,8 @@ class SweepError(RuntimeError):
 class RunOptions:
     """Execution options for :func:`run_plan` (and ``run_bench``).
 
-    One value instead of a keyword sprawl — the preferred calling
-    convention is ``run_plan(plan, options=RunOptions(workers=4))``.
-    Every field keeps the semantics the keyword of the same name had:
+    One value instead of a keyword sprawl:
+    ``run_plan(plan, options=RunOptions(workers=4))``.  The fields:
 
     * ``workers`` — pool size; ``<= 1`` runs the serial reference loop.
     * ``chunk_size`` — scenarios per shard (default: ~4 chunks/worker).
@@ -76,8 +74,6 @@ class RunOptions:
     progress: Callable[[int, int], None] | None = None
     batch: bool = True
 
-
-_OPTION_FIELDS = tuple(f.name for f in fields(RunOptions))
 
 
 @dataclass(frozen=True)
@@ -233,31 +229,14 @@ def _run_serial(plan: SweepPlan,
                        traffic=traffic, phases=phases)
 
 
-def run_plan(
-    plan: SweepPlan,
-    options: RunOptions | None = None,
-    **legacy_kwargs,
-) -> SweepResult:
+def run_plan(plan: SweepPlan,
+             options: RunOptions | None = None) -> SweepResult:
     """Execute *plan* and return the ordered :class:`SweepResult`.
 
-    The preferred calling convention is
+    Execution options travel as one value,
     ``run_plan(plan, RunOptions(workers=4, ...))`` — see
-    :class:`RunOptions` for every knob.  The historical keyword form
-    (``run_plan(plan, workers=4, chunk_size=...)``) still works but is
-    deprecated: it warns and folds the keywords into a
-    :class:`RunOptions`, producing an identical result.
+    :class:`RunOptions` for every knob.
     """
-    if legacy_kwargs:
-        unknown = sorted(set(legacy_kwargs) - set(_OPTION_FIELDS))
-        if unknown:
-            raise TypeError(
-                f"run_plan got unexpected keyword argument(s) {unknown}; "
-                f"RunOptions fields are {list(_OPTION_FIELDS)}")
-        warnings.warn(
-            "passing execution options as keyword arguments to run_plan is "
-            "deprecated; pass options=RunOptions(...) instead (the result "
-            "is identical)", DeprecationWarning, stacklevel=2)
-        options = replace(options or RunOptions(), **legacy_kwargs)
     options = options or RunOptions()
     progress = options.progress
     chunk_size = options.chunk_size

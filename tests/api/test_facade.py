@@ -1,9 +1,10 @@
-"""Config objects and deprecation shims: old call sites warn, never break.
+"""Config objects: EngineConfig / RunOptions, and the DLSBLNCP shim.
 
-The kwargs collapse (EngineConfig / RunOptions) keeps every historical
-calling convention working through DeprecationWarning shims that
-produce *identical* results.  These tests are the pin: if a shim stops
-warning, warns twice, or changes behaviour, this file goes red.
+The kwargs collapse made ``EngineConfig`` (engine construction) and
+``RunOptions`` (sweep/bench execution) the calling conventions.  The
+one remaining DeprecationWarning shim, ``DLSBLNCP`` direct kwargs, is
+pinned here: if it stops warning, warns twice, or changes behaviour,
+this file goes red.
 """
 
 import warnings
@@ -71,26 +72,9 @@ class TestRunOptions:
             result = run_plan(self.plan(), RunOptions(workers=1))
         assert len(result.records) == 6
 
-    def test_legacy_kwargs_warn_once_with_identical_digest(self):
-        modern = run_plan(self.plan(), RunOptions(workers=2, chunk_size=2))
-        with pytest.warns(DeprecationWarning, match="RunOptions") as rec:
-            legacy = run_plan(self.plan(), workers=2, chunk_size=2)
-        assert len(rec) == 1
-        assert legacy.digest() == modern.digest()
-
     def test_unknown_kwarg_is_a_type_error(self):
         with pytest.raises(TypeError, match="pool_size"):
             run_plan(self.plan(), pool_size=4)
-
-    def test_run_bench_workers_kwarg_warns(self, monkeypatch):
-        from repro.perf import bench
-
-        # The shim is about argument folding, not timing: stub the
-        # timer so the kernels are built but never run.
-        monkeypatch.setattr(bench, "_best_of", lambda fn, rounds: 0.0)
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            timings = bench.run_bench(quick=True, workers=1)
-        assert "protocol_m64" in timings
 
 
 class TestTopLevelReexports:
