@@ -484,24 +484,6 @@ class Referee:
         Returns a non-terminating, fine-free verdict when every vector
         is present, authentic, unique and correct.
         """
-        fines: list[Fine] = []
-        vectors: dict[str, list[float]] = {}
-        for name in participants:
-            msgs = submissions.get(name, [])
-            authentic = [m for m in msgs if self.pki.verify(m) and m.signer == name]
-            if not authentic:
-                fines.append(Fine(name, fine, "missing-payment-vector"))
-                continue
-            payloads = {m.canonical for m in authentic}
-            if len(payloads) > 1:
-                fines.append(Fine(name, fine, "contradictory-payment-vectors"))
-                continue
-            payload = authentic[0].payload
-            try:
-                vectors[name] = [float(q) for q in payload["Q"]]
-            except (KeyError, TypeError, ValueError):
-                fines.append(Fine(name, fine, "malformed-payment-vector"))
-
         w = tuple(float(bids[name]) for name in order)
         exec_arr = np.array([w_exec[name] for name in order])
         if self.memo is not None:
@@ -510,10 +492,35 @@ class Referee:
         else:
             correct = compute_payments(BusNetwork(w, z, kind, tuple(order)),
                                        exec_arr)
+        correct_list = [float(x) for x in correct]
+
+        fines: list[Fine] = []
+        vectors: dict[str, list[float]] = {}
+        for name in participants:
+            msgs = submissions.get(name, [])
+            authentic = [m for m in msgs if self.pki.verify(m) and m.signer == name]
+            if not authentic:
+                fines.append(Fine(name, fine, "missing-payment-vector"))
+                continue
+            if len(authentic) > 1 and len({m.canonical for m in authentic}) > 1:
+                fines.append(Fine(name, fine, "contradictory-payment-vectors"))
+                continue
+            payload = authentic[0].payload
+            # Honest fast path: a list of exact floats equal to the
+            # referee's own vector is what the per-element conversion
+            # below would accept unchanged, so skip the O(m) rebuild.
+            raw = payload.get("Q") if type(payload) is dict else None
+            if (type(raw) is list and set(map(type, raw)) <= {float}
+                    and raw == correct_list):
+                continue
+            try:
+                vectors[name] = [float(q) for q in payload["Q"]]
+            except (KeyError, TypeError, ValueError):
+                fines.append(Fine(name, fine, "malformed-payment-vector"))
+
         # Exact-match fast path: honest vectors round-trip through the
         # same float list, so equality short-circuits the tolerance
         # check; only mismatching vectors pay the allclose cost.
-        correct_list = [float(x) for x in correct]
         for name, q in vectors.items():
             if q == correct_list:
                 continue

@@ -24,11 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.dlt.platform import validate_positive
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "StarNetwork",
@@ -285,6 +288,8 @@ def collapse_tree(tree: nx.DiGraph, root, *, disabled=()) -> TreeNode:
     disabled *leaf* must not be passed here (drop it from the tree
     instead: it has no subtree to relay to).
     """
+    import networkx as nx
+
     if root not in tree:
         raise KeyError(f"root {root!r} not in tree")
     if not nx.is_arborescence(tree):
@@ -309,6 +314,8 @@ def tree_finish_times(
 
     Returns ``{node: finish_time}``.
     """
+    import networkx as nx
+
     if not nx.is_arborescence(tree):
         raise ValueError("tree must be an arborescence (rooted out-tree)")
     w_exec = w_exec or {}
@@ -337,6 +344,8 @@ def allocate_tree(tree: nx.DiGraph, root) -> dict:
     allocation at each internal node says how much of the node's share
     stays local versus flows to each child subtree.
     """
+    import networkx as nx
+
     if not nx.is_arborescence(tree):
         raise ValueError("tree must be an arborescence (rooted out-tree)")
     shares: dict = {}

@@ -18,7 +18,6 @@ Both must agree with the closed form to certify the reproduction.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.dlt.platform import BusNetwork, NetworkKind
 from repro.dlt.timing import finish_times, makespan
@@ -65,6 +64,8 @@ def lp_optimal_allocation(network: BusNetwork) -> tuple[np.ndarray, float]:
     (alpha, t):
         The optimal allocation and its makespan.
     """
+    from scipy.optimize import linprog
+
     m = network.m
     A = _finish_time_matrix(network)
     c = np.zeros(m + 1)

@@ -50,14 +50,24 @@ def _instance_key(tag: bytes, network) -> bytes:
     """Content address of a :class:`~repro.dlt.platform.BusNetwork`.
 
     Covers everything the kernels read: the bid vector bitwise, ``z``,
-    the system kind and the allocation-order names.
+    the system kind and the allocation-order names.  The network is
+    frozen, so each tag's digest is computed once and kept on the
+    instance (like its ``_w_array``): the interned network every agent
+    shares in an engagement is hashed once, not once per lookup.
     """
-    h = hashlib.sha256(tag)
-    h.update(network.w_array.tobytes())
-    h.update(repr(network.z).encode())
-    h.update(network.kind.value.encode())
-    h.update("\x00".join(network.names).encode())
-    return h.digest()
+    keys = network.__dict__.get("_instance_keys")
+    if keys is None:
+        keys = {}
+        object.__setattr__(network, "_instance_keys", keys)
+    key = keys.get(tag)
+    if key is None:
+        h = hashlib.sha256(tag)
+        h.update(network.w_array.tobytes())
+        h.update(repr(network.z).encode())
+        h.update(network.kind.value.encode())
+        h.update("\x00".join(network.names).encode())
+        key = keys[tag] = h.digest()
+    return key
 
 
 class ComputationCache:

@@ -1,5 +1,6 @@
 """Unit tests for the repro.perf caches."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -55,6 +56,27 @@ class TestComputationCache:
         c = memo.network((2.0, 3.0, 5.0), 0.5, NetworkKind.NCP_FE, names)
         assert a is b and a is not c
         assert memo.stats.lookups == 0  # plumbing, not mechanism work
+
+    @pytest.mark.parametrize("kind", list(NetworkKind))
+    def test_instance_key_computed_once_with_unchanged_bytes(self, kind):
+        # The content address is cached per (network, tag); the bytes
+        # must be exactly the SHA-256 the memo has always keyed by.
+        from repro.perf.cache import _instance_key
+
+        n = BusNetwork((2.0, 3.0, 5.0), 0.4, kind, ("A", "B", "C"))
+        for tag in (b"alloc|", b"excl|", b"pay|", b"paywire|"):
+            h = hashlib.sha256(tag)
+            h.update(np.array([2.0, 3.0, 5.0]).tobytes())
+            h.update(repr(0.4).encode())
+            h.update(kind.value.encode())
+            h.update(b"A\x00B\x00C")
+            key = _instance_key(tag, n)
+            assert key == h.digest()
+            assert _instance_key(tag, n) is key  # served, not re-hashed
+        # An equal but distinct instance computes the same bytes.
+        twin = BusNetwork((2.0, 3.0, 5.0), 0.4, kind, ("A", "B", "C"))
+        assert _instance_key(b"pay|", twin) == _instance_key(b"pay|", n)
+        assert twin == n  # the cached keys never enter equality
 
     def test_hit_rate(self):
         memo = ComputationCache()

@@ -282,3 +282,46 @@ def test_facade_allowlist_is_not_stale():
         assert any(
             imported.startswith(UPPER_TARGETS) for imported in _imports(tree)
         ), f"{mod} no longer needs its allowlist entry — remove it"
+
+
+def _eager_imports(body):
+    """Yield modules imported at module or class level — i.e. on import
+    of the module itself — skipping function bodies (they run on call)
+    and ``if TYPE_CHECKING:`` blocks."""
+    for node in body:
+        if isinstance(node, ast.If) and _is_type_checking_block(node):
+            yield from _eager_imports(node.orelse)
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            if node.module and node.level == 0:
+                yield node.module
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            child = getattr(node, field, None)
+            if isinstance(child, list):
+                yield from _eager_imports(child)
+
+
+def test_scipy_and_networkx_load_only_on_call():
+    # Cold-start budget (DESIGN.md §4.6 item 8): the mechanism runs on
+    # closed forms, so scipy (the LP optimality oracle) and networkx
+    # (the tree mechanism's graph type) are imported inside the
+    # functions that use them.  A module- or class-level import would
+    # put them back on every `import repro`, CLI call and daemon spawn;
+    # tests/test_import_budget.py checks the same budget at run time.
+    heavy = ("scipy", "networkx")
+    bad = []
+    for path in sorted(SRC.rglob("*.py")):
+        mod = _module_name(path)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for imported in _eager_imports(tree.body):
+            if imported.split(".")[0] in heavy:
+                bad.append(f"{mod} imports {imported} at import time")
+    assert not bad, (
+        "scipy/networkx must be imported inside the function that needs "
+        "them (or under TYPE_CHECKING for annotations):\n  "
+        + "\n  ".join(bad))
