@@ -21,7 +21,7 @@ import pytest
 
 from repro.agents.behaviors import AgentBehavior, Deviation
 from repro.analysis.reporting import format_table
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.dlt.platform import NetworkKind
 from repro.network.messages import MessageKind
 
@@ -36,8 +36,9 @@ SPLIT = {1: AgentBehavior(deviations={Deviation.SPLIT_BIDS},
 def run_modes():
     rows = []
     for mode in ("atomic", "commit", "naive"):
-        out = DLSBLNCP(W, NetworkKind.NCP_FE, Z, behaviors=SPLIT,
-                       bidding_mode=mode).run()
+        out = DLSBLNCP(W, NetworkKind.NCP_FE, Z,
+                       config=EngineConfig(behaviors=SPLIT,
+                                           bidding_mode=mode)).run()
         wasted = sum(out.costs.values())
         rows.append((mode, out.terminal_phase.name,
                      ", ".join(out.fined) or "-", wasted,
@@ -73,7 +74,8 @@ def test_commitment_overhead(benchmark, report):
     def measure():
         rows = []
         for mode in ("atomic", "commit", "naive"):
-            out = DLSBLNCP(W, NetworkKind.NCP_FE, Z, bidding_mode=mode).run()
+            out = DLSBLNCP(W, NetworkKind.NCP_FE, Z,
+                           config=EngineConfig(bidding_mode=mode)).run()
             rows.append((
                 mode,
                 out.traffic.by_kind[MessageKind.BID],

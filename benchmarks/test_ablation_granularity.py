@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.reporting import format_table
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.crypto.blocks import quantize_blocks
 from repro.dlt.closed_form import allocate
 from repro.dlt.platform import BusNetwork, NetworkKind
@@ -56,7 +56,8 @@ def test_no_spurious_disputes_at_any_granularity(benchmark, report):
     def sweep():
         rows = []
         for n in (7, 23, 120, 997):
-            out = DLSBLNCP(list(W), NetworkKind.NCP_FE, Z, num_blocks=n).run()
+            out = DLSBLNCP(list(W), NetworkKind.NCP_FE, Z,
+                           config=EngineConfig(num_blocks=n)).run()
             rows.append((n, out.completed, len(out.verdicts)))
         return rows
 

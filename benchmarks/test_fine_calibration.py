@@ -13,7 +13,7 @@ import pytest
 
 from repro.agents.behaviors import AgentBehavior, Deviation
 from repro.analysis.reporting import format_table
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.core.fines import FinePolicy
 from repro.dlt.platform import BusNetwork, NetworkKind
 
@@ -27,10 +27,11 @@ def sweep():
     net = BusNetwork(tuple(W), Z, NetworkKind.NCP_FE)
     for f in FACTORS:
         policy = FinePolicy(f)
-        honest = DLSBLNCP(W, NetworkKind.NCP_FE, Z, policy=policy).run()
-        deviant = DLSBLNCP(W, NetworkKind.NCP_FE, Z, policy=policy,
-                           behaviors={1: AgentBehavior(
-                               deviations={Deviation.MULTIPLE_BIDS})}).run()
+        honest = DLSBLNCP(W, NetworkKind.NCP_FE, Z,
+                          config=EngineConfig(policy=policy)).run()
+        deviant = DLSBLNCP(W, NetworkKind.NCP_FE, Z, config=EngineConfig(
+            policy=policy, behaviors={1: AgentBehavior(
+                deviations={Deviation.MULTIPLE_BIDS})})).run()
         rows.append((
             f,
             policy.fine_amount(net),

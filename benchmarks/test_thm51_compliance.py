@@ -15,7 +15,7 @@ import pytest
 
 from repro.agents.behaviors import AgentBehavior, Deviation
 from repro.analysis.reporting import format_table
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.core.fines import FinePolicy
 from repro.dlt.platform import NetworkKind
 
@@ -52,11 +52,12 @@ def catalogue(kind):
 
 
 def run_catalogue(kind):
-    honest = DLSBLNCP(W, kind, Z, policy=FinePolicy(2.0)).run()
+    honest = DLSBLNCP(W, kind, Z,
+                      config=EngineConfig(policy=FinePolicy(2.0))).run()
     rows = []
     for case, deviant, behaviors in catalogue(kind):
-        out = DLSBLNCP(W, kind, Z, behaviors=behaviors,
-                       policy=FinePolicy(2.0)).run()
+        out = DLSBLNCP(W, kind, Z, config=EngineConfig(
+            behaviors=behaviors, policy=FinePolicy(2.0))).run()
         rows.append({
             "case": case,
             "deviant": deviant,
@@ -103,9 +104,10 @@ def test_thm51_detection_scales_with_m(benchmark, report):
         rng = np.random.default_rng(1)
         for m in (3, 6, 12, 16):
             w = list(rng.uniform(1.0, 10.0, m))
-            out = DLSBLNCP(w, NetworkKind.NCP_FE, 0.3, behaviors={
-                m // 2: AgentBehavior(deviations={Deviation.MULTIPLE_BIDS})},
-                policy=FinePolicy(2.0)).run()
+            out = DLSBLNCP(w, NetworkKind.NCP_FE, 0.3, config=EngineConfig(
+                behaviors={m // 2: AgentBehavior(
+                    deviations={Deviation.MULTIPLE_BIDS})},
+                policy=FinePolicy(2.0))).run()
             deviant = f"P{m // 2 + 1}"
             rows.append((m, deviant, list(out.fined) == [deviant],
                          out.utilities[deviant]))

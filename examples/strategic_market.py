@@ -10,7 +10,7 @@ what the protocol does and who ends up with what.
 Run:  python examples/strategic_market.py
 """
 
-from repro import DLSBLNCP, NetworkKind
+from repro import DLSBLNCP, EngineConfig, NetworkKind
 from repro.agents import AgentBehavior, Deviation, misreport, slow_execution
 from repro.analysis.reporting import format_table
 from repro.core.fines import FinePolicy
@@ -49,11 +49,12 @@ def describe(outcome) -> str:
 
 def main() -> None:
     print(f"Market: w={W}, z={Z}, fine policy = 2x compensation bill\n")
-    baseline = DLSBLNCP(W, KIND, Z, policy=POLICY).run()
+    baseline = DLSBLNCP(W, KIND, Z, config=EngineConfig(policy=POLICY)).run()
 
     rows = []
     for label, behaviors in SCENARIOS:
-        out = DLSBLNCP(W, KIND, Z, behaviors=behaviors, policy=POLICY).run()
+        out = DLSBLNCP(W, KIND, Z, config=EngineConfig(behaviors=behaviors,
+                                                       policy=POLICY)).run()
         rows.append((label, describe(out),
                      *(round(out.utilities[n], 3) for n in out.order)))
 
@@ -70,9 +71,8 @@ def main() -> None:
     print("   it could ever gain, and the informers split the fine (Thm 5.1)")
 
     # The deterrence ledger for the equivocation case, in detail.
-    out = DLSBLNCP(W, KIND, Z, policy=POLICY,
-                   behaviors={1: AgentBehavior(
-                       deviations={Deviation.MULTIPLE_BIDS})}).run()
+    out = DLSBLNCP(W, KIND, Z, config=EngineConfig(policy=POLICY, behaviors={
+        1: AgentBehavior(deviations={Deviation.MULTIPLE_BIDS})})).run()
     print(f"\nEquivocation case detail: fine F = {out.fine_amount:.4f}")
     print(format_table(
         ("party", "balance", "vs honest utility"),

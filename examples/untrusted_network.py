@@ -16,7 +16,7 @@ Run:  python examples/untrusted_network.py
 
 from repro.agents.behaviors import AgentBehavior, Deviation
 from repro.analysis.reporting import format_table
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.dlt.platform import NetworkKind
 from repro.network.messages import MessageKind
 
@@ -29,8 +29,9 @@ ATTACK = {1: AgentBehavior(
 
 
 def run(mode, behaviors=None):
-    return DLSBLNCP(W, NetworkKind.NCP_FE, Z, behaviors=behaviors,
-                    bidding_mode=mode).run()
+    return DLSBLNCP(W, NetworkKind.NCP_FE, Z,
+                    config=EngineConfig(behaviors=behaviors,
+                                        bidding_mode=mode)).run()
 
 
 def main() -> None:

@@ -9,16 +9,11 @@ it, and keys/ledgers are per-engagement).
 
 Configuration travels in an :class:`EngineConfig`: one frozen record
 holding everything beyond the instance triple ``(w_true, kind, z)``.
-The historical keyword sprawl (``behaviors=``, ``policy=``, … passed
-directly to the constructor) still works but is deprecated — it warns
-and folds the keywords into an :class:`EngineConfig` internally, so the
-two calling conventions are value-identical.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 from repro.agents.behaviors import AgentBehavior, truthful
 from repro.agents.processor import ProcessorAgent
@@ -42,7 +37,7 @@ NCPOutcome = ProtocolResult
 class EngineConfig:
     """Everything a DLS-BL-NCP engagement needs beyond ``(w, kind, z)``.
 
-    The preferred calling convention is
+    The calling convention is
     ``DLSBLNCP(w, kind, z, config=EngineConfig(...))`` — one value to
     build, log, and pass around instead of nine keyword arguments.
 
@@ -107,9 +102,6 @@ class EngineConfig:
                 f"got redundancy={self.redundancy!r}")
 
 
-_CONFIG_FIELDS = tuple(f.name for f in fields(EngineConfig))
-
-
 class DLSBLNCP:
     """Configure and run the distributed mechanism.
 
@@ -123,11 +115,6 @@ class DLSBLNCP:
         Per-unit bus communication time.
     config:
         The engagement configuration (see :class:`EngineConfig`).
-
-    Any :class:`EngineConfig` field may still be passed directly as a
-    keyword (``behaviors=...``, ``policy=...``, ...) — that legacy path
-    emits a :class:`DeprecationWarning` and builds the equivalent
-    config, so results are identical between conventions.
 
     Example
     -------
@@ -148,20 +135,7 @@ class DLSBLNCP:
         config: EngineConfig | None = None,
         bus=None,
         engagement_id: str | None = None,
-        **legacy_kwargs,
     ) -> None:
-        if legacy_kwargs:
-            unknown = sorted(set(legacy_kwargs) - set(_CONFIG_FIELDS))
-            if unknown:
-                raise TypeError(
-                    f"DLSBLNCP got unexpected keyword argument(s) {unknown}; "
-                    f"EngineConfig fields are {list(_CONFIG_FIELDS)}")
-            warnings.warn(
-                "passing engagement options as direct keyword arguments to "
-                "DLSBLNCP is deprecated; pass config=EngineConfig(...) "
-                "instead (the result is identical)",
-                DeprecationWarning, stacklevel=2)
-            config = replace(config or EngineConfig(), **legacy_kwargs)
         config = config or EngineConfig()
         self.config = config
 

@@ -37,9 +37,9 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import DEFAULT_QUEUE_SIZE, ReproService
 from repro.service.fleet import FleetDispatcher, LocalFleet, RETRYABLE_CODES
 from repro.service.loadgen import LoadgenReport, LoadgenSpec, run_loadgen
-from repro.service.pool import WarmPool
 from repro.service.stats import ServiceCounters
 from repro.service.tcp import Endpoint, parse_endpoint
+from repro.sweep.pool import WarmPool
 
 __all__ = [
     "DEFAULT_QUEUE_SIZE",

@@ -65,9 +65,9 @@ from typing import Any
 from repro.api import ApiError, request_from_dict
 from repro.api.registry import cacheable
 from repro.service import tcp
-from repro.service.pool import WarmPool
 from repro.service.stats import ServiceCounters
 from repro.service.worker import execute_payload
+from repro.sweep.pool import WarmPool
 
 __all__ = ["ReproService", "DEFAULT_QUEUE_SIZE", "MAX_REQUEST_BYTES"]
 

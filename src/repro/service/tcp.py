@@ -45,7 +45,7 @@ __all__ = [
     "close_inherited_listeners",
 ]
 
-#: Live listeners bound by this process, tracked so fork workers can
+#: Live listeners bound by this process, tracked so fork children can
 #: close their inherited copies (see :func:`close_inherited_listeners`).
 _SERVERS: "weakref.WeakSet[asyncio.AbstractServer]" = weakref.WeakSet()
 
@@ -117,10 +117,10 @@ async def start_server(spec, handler, *, limit: int = 2 ** 16,
 def listener_fds() -> tuple[int, ...]:
     """File descriptors of every listener currently bound in-process.
 
-    Snapshotted by :class:`repro.service.pool.WarmPool` whenever it
-    builds an executor, and passed to the fork children's initializer.
-    A closed server's ``sockets`` is empty, so stale listeners drop out
-    on their own.
+    Read in every fork child by the hook registered below, so any
+    worker of the fork pool (:class:`repro.sweep.pool.WarmPool`) drops
+    the listeners live at the moment it was forked.  A closed server's
+    ``sockets`` is empty, so stale listeners drop out on their own.
     """
     fds = []
     for server in _SERVERS:
@@ -135,7 +135,7 @@ def listener_fds() -> tuple[int, ...]:
 
 
 def close_inherited_listeners(fds) -> None:
-    """Fork-worker initializer: drop listener fds inherited at fork.
+    """Drop listener fds inherited at fork (run in every fork child).
 
     A forked worker inherits every fd its parent held — including
     *listening* sockets, the parent's own or (when several daemons live
@@ -162,6 +162,17 @@ def close_inherited_listeners(fds) -> None:
                 sock.close()
         else:  # pragma: no cover — recycled as a data socket
             sock.detach()
+
+
+def _close_listeners_in_child() -> None:
+    close_inherited_listeners(listener_fds())
+
+
+# Registered once, at import: every process that can bind a listener
+# has imported this module, so no fork child — pool worker or
+# otherwise — ever starts out holding one.
+if hasattr(os, "register_at_fork"):  # pragma: no branch — POSIX only
+    os.register_at_fork(after_in_child=_close_listeners_in_child)
 
 
 def cleanup(spec) -> None:

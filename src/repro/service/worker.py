@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["execute_payload", "worker_ping"]
+__all__ = ["execute_payload"]
 
 _MEMO = None
 _SIGCACHE = None
@@ -31,11 +31,6 @@ def _caches():
         _MEMO = ComputationCache()
         _SIGCACHE = SignatureCache()
     return _MEMO, _SIGCACHE
-
-
-def worker_ping() -> bool:
-    """No-op job used to spin workers up eagerly (pool warm-up)."""
-    return True
 
 
 def execute_payload(payload: dict) -> tuple[str, dict[str, Any]]:

@@ -13,8 +13,10 @@ The execution contract, in order of precedence:
    size targets several chunks per worker to keep the tail short while
    amortizing IPC.
 3. **Fault tolerance** — a worker process dying (OOM kill, hard crash)
-   breaks the pool, not the sweep: the runner rebuilds the pool and
-   resubmits only the unfinished chunks, up to ``max_restarts`` times.
+   breaks the pool, not the sweep: the runner rebuilds its
+   :class:`~repro.sweep.pool.WarmPool` (the same fork pool the daemon
+   serves from) and resubmits only the unfinished chunks, up to
+   ``max_restarts`` times.
    Scenario-level *exceptions* are not retried — they are deterministic
    failures, captured in-worker and re-raised after the merge as a
    :class:`SweepError` naming the lowest failing scenario (the same one
@@ -27,14 +29,14 @@ the default for every consumer.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.sweep.aggregate import PhaseTotals, TrafficTotals, aggregate_records
+from repro.sweep.pool import WarmPool
 from repro.sweep.spec import ScenarioSpec, SweepPlan, digest_records
 from repro.sweep.tasks import iter_task_groups, run_scenario, try_run_batch
 
@@ -169,14 +171,6 @@ def _run_chunk(payload: tuple[int, Sequence[ScenarioSpec], bool]
     return chunk_id, results, stats
 
 
-def _mp_context():
-    """Fork where available (cheap, inherits task registrations)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover — non-POSIX platforms
-        return multiprocessing.get_context("spawn")
-
-
 def _chunk(plan: SweepPlan, chunk_size: int) -> list[tuple[int, tuple]]:
     specs = plan.scenarios
     return [(cid, specs[lo:lo + chunk_size])
@@ -264,19 +258,19 @@ def run_plan(plan: SweepPlan,
     pending = {cid: payload for cid, payload in chunks}
     indexed: dict[int, tuple[bool, Any]] = {}
     shard_stats: dict[int, ShardStats] = {}
-    restarts = 0
     done_scenarios = 0
-    ctx = _mp_context()
-
-    while pending:
-        executor = ProcessPoolExecutor(max_workers=min(workers, len(pending)),
-                                       mp_context=ctx)
-        broken = False
-        try:
-            futures = {executor.submit(_run_chunk, (cid, specs, batch)): cid
-                       for cid, specs in pending.items()}
-            not_done = set(futures)
-            while not_done:
+    # Forked lazily on the first submit, so workers inherit every task
+    # registered before run_plan was called.
+    pool = WarmPool(min(workers, len(chunks)), warm=False)
+    broken = False
+    try:
+        while pending:
+            not_done = set()
+            for cid, specs in pending.items():
+                generation, fut = pool.submit(_run_chunk, (cid, specs, batch))
+                not_done.add(fut)
+            broken = False
+            while not_done and not broken:
                 finished, not_done = wait(not_done,
                                           return_when=FIRST_COMPLETED)
                 for fut in finished:
@@ -298,22 +292,20 @@ def run_plan(plan: SweepPlan,
                     done_scenarios += stats["scenarios"]
                     if progress is not None:
                         progress(done_scenarios, total)
-                if broken:
-                    break
-        finally:
-            # A healthy pool is drained synchronously so its management
-            # thread and pipes are gone before interpreter exit; a
-            # broken pool cannot be joined — abandon it.
-            executor.shutdown(wait=not broken, cancel_futures=True)
-        if pending:
-            # Worker death broke the pool mid-sweep: rebuild and rerun
-            # only the chunks that never reported back.
-            restarts += 1
-            if restarts > max_restarts:
-                raise SweepError(
-                    f"worker pool died {restarts} times; "
-                    f"{len(pending)} chunk(s) unfinished "
-                    f"(chunks {sorted(pending)})")
+            if pending:
+                # Worker death broke the pool mid-sweep: rebuild and
+                # rerun only the chunks that never reported back.
+                if pool.rebuilds >= max_restarts:
+                    raise SweepError(
+                        f"worker pool died {pool.rebuilds + 1} times; "
+                        f"{len(pending)} chunk(s) unfinished "
+                        f"(chunks {sorted(pending)})")
+                pool.rebuild(generation)
+    finally:
+        # A healthy pool is drained synchronously so its management
+        # thread and pipes are gone before interpreter exit; a broken
+        # pool cannot be joined — abandon it.
+        pool.shutdown(wait=not broken)
 
     _raise_first_failure(indexed)
     records = tuple(indexed[i][1] for i in range(total))
@@ -324,4 +316,4 @@ def run_plan(plan: SweepPlan,
         traffic.merge(shard.traffic)
         phases.merge(shard.phases)
     return SweepResult(records=records, shards=shards, workers=workers,
-                       restarts=restarts, traffic=traffic, phases=phases)
+                       restarts=pool.rebuilds, traffic=traffic, phases=phases)

@@ -1,10 +1,9 @@
-"""Config objects: EngineConfig / RunOptions, and the DLSBLNCP shim.
+"""Config objects: EngineConfig / RunOptions.
 
 The kwargs collapse made ``EngineConfig`` (engine construction) and
-``RunOptions`` (sweep/bench execution) the calling conventions.  The
-one remaining DeprecationWarning shim, ``DLSBLNCP`` direct kwargs, is
-pinned here: if it stops warning, warns twice, or changes behaviour,
-this file goes red.
+``RunOptions`` (sweep/bench execution) the only calling conventions:
+an engagement option passed directly to ``DLSBLNCP`` or ``run_plan``
+is a plain ``TypeError``.
 """
 
 import warnings
@@ -19,10 +18,6 @@ W = [2.0, 3.0, 5.0]
 Z = 0.4
 
 
-def _balances(outcome):
-    return dict(outcome.balances)
-
-
 class TestEngineConfig:
     def test_config_path_is_warning_free(self):
         with warnings.catch_warnings():
@@ -31,16 +26,6 @@ class TestEngineConfig:
                 W, NetworkKind.NCP_FE, Z,
                 config=EngineConfig(bidding_mode="commit")).run()
         assert outcome.completed
-
-    def test_legacy_kwargs_warn_once_and_match_config_path(self):
-        with pytest.warns(DeprecationWarning, match="EngineConfig") as rec:
-            legacy = DLSBLNCP(W, NetworkKind.NCP_FE, Z,
-                              bidding_mode="commit", pki_seed=7).run()
-        assert len(rec) == 1
-        config = EngineConfig(bidding_mode="commit", pki_seed=7)
-        modern = DLSBLNCP(W, NetworkKind.NCP_FE, Z, config=config).run()
-        assert _balances(legacy) == _balances(modern)
-        assert legacy.bids == modern.bids
 
     def test_unknown_kwarg_is_a_type_error_listing_fields(self):
         with pytest.raises(TypeError, match="bogus"):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agents.behaviors import AgentBehavior, Deviation
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.core.fines import FinePolicy
 from repro.dlt.platform import NetworkKind
 from repro.protocol.phases import Phase
@@ -74,9 +74,9 @@ def profile_strategy(min_m=2, max_m=6):
 
 
 def run_profile(w, behaviors, kind, z, bidding_mode="atomic"):
-    mech = DLSBLNCP(list(w), kind, z,
-                    behaviors=list(behaviors), policy=FinePolicy(2.0),
-                    bidding_mode=bidding_mode)
+    mech = DLSBLNCP(list(w), kind, z, config=EngineConfig(
+        behaviors=list(behaviors), policy=FinePolicy(2.0),
+        bidding_mode=bidding_mode))
     return mech, mech.run()
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.agents.behaviors import AgentBehavior, misreport, slow_execution, truthful
 from repro.core.dls_bl import DLSBL
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.dlt.platform import NetworkKind
 
 
@@ -51,7 +51,8 @@ class TestStrategyproofnessThroughProtocol:
         z = frac * min(w)
         i = i_raw % len(w)
         truth = DLSBLNCP(w, kind, z).run()
-        lied = DLSBLNCP(w, kind, z, behaviors={i: misreport(factor)}).run()
+        lied = DLSBLNCP(w, kind, z, config=EngineConfig(
+            behaviors={i: misreport(factor)})).run()
         name = truth.order[i]
         assert lied.utilities[name] <= truth.utilities[name] + 1e-9
 
@@ -65,7 +66,8 @@ class TestStrategyproofnessThroughProtocol:
         z = frac * min(w)
         i = i_raw % len(w)
         truth = DLSBLNCP(w, kind, z).run()
-        slow = DLSBLNCP(w, kind, z, behaviors={i: slow_execution(factor)}).run()
+        slow = DLSBLNCP(w, kind, z, config=EngineConfig(
+            behaviors={i: slow_execution(factor)})).run()
         name = truth.order[i]
         assert slow.utilities[name] <= truth.utilities[name] + 1e-9
 
@@ -85,9 +87,11 @@ class TestStrategyproofnessAcrossTransports:
         w = list(np.asarray(w_raw))
         z = frac * min(w)
         i = i_raw % len(w)
-        truth = DLSBLNCP(w, kind, z, bidding_mode=mode).run()
-        lied = DLSBLNCP(w, kind, z, behaviors={i: misreport(factor)},
-                        bidding_mode=mode).run()
+        truth = DLSBLNCP(w, kind, z,
+                         config=EngineConfig(bidding_mode=mode)).run()
+        lied = DLSBLNCP(w, kind, z,
+                        config=EngineConfig(behaviors={i: misreport(factor)},
+                                            bidding_mode=mode)).run()
         name = truth.order[i]
         assert lied.utilities[name] <= truth.utilities[name] + 1e-9
 
@@ -114,8 +118,8 @@ class TestLedgerInvariants:
         w = list(np.asarray(w_raw))
         z = frac * min(w)
         i = deviant_raw % len(w)
-        mech = DLSBLNCP(w, kind, z, behaviors={i: AgentBehavior(
-            deviations={Deviation.MULTIPLE_BIDS})})
+        mech = DLSBLNCP(w, kind, z, config=EngineConfig(behaviors={
+            i: AgentBehavior(deviations={Deviation.MULTIPLE_BIDS})}))
         out = mech.run()
         # Every coin a deviant loses lands with a non-deviant (or stays
         # escrowed); nothing is minted.

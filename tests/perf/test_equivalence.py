@@ -42,7 +42,8 @@ def wire_trace(mech):
 def run_pair(w, *, kind=NetworkKind.NCP_FE, z=0.4, **kwargs):
     outs = {}
     for mode in ("memoized", "independent"):
-        mech = DLSBLNCP(w, kind, z, redundancy=mode, pki_seed=SEED, **kwargs)
+        mech = DLSBLNCP(w, kind, z, config=EngineConfig(
+            redundancy=mode, pki_seed=SEED, **kwargs))
         outs[mode] = (mech, mech.run())
     return outs
 
@@ -142,7 +143,7 @@ class TestCacheCounters:
     def test_invalid_redundancy_rejected(self):
         with pytest.raises(ValueError, match="redundancy"):
             DLSBLNCP([2.0, 3.0], NetworkKind.NCP_FE, 0.4,
-                     redundancy="sometimes")
+                     config=EngineConfig(redundancy="sometimes"))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from repro.agents.behaviors import abstaining, truthful
 from repro.core.dls_bl import DLSBL
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.dlt.platform import NetworkKind
 from repro.protocol.phases import Phase
 from tests.conftest import PROTO_W4 as W, PROTO_Z as Z
@@ -15,7 +15,8 @@ class TestAbstention:
     def test_abstainer_gets_zero_everything(self, ncp_kind):
         # A non-originator abstains; the rest proceed without it.
         idx = 1
-        out = DLSBLNCP(W, ncp_kind, Z, behaviors={idx: abstaining()}).run()
+        out = DLSBLNCP(W, ncp_kind, Z, config=EngineConfig(
+            behaviors={idx: abstaining()})).run()
         assert out.completed
         assert "P2" not in out.participants
         assert out.utilities["P2"] == 0.0
@@ -23,7 +24,8 @@ class TestAbstention:
         assert out.alpha["P2"] == 0.0
 
     def test_remaining_participants_reschedule(self, ncp_kind):
-        out = DLSBLNCP(W, ncp_kind, Z, behaviors={1: abstaining()}).run()
+        out = DLSBLNCP(W, ncp_kind, Z,
+                       config=EngineConfig(behaviors={1: abstaining()})).run()
         active = [n for n in out.order if n != "P2"]
         assert list(out.participants) == active
         assert sum(out.alpha[n] for n in active) == pytest.approx(1.0)
@@ -34,13 +36,15 @@ class TestAbstention:
             assert out.payments[name] == pytest.approx(central.payments[i])
 
     def test_abstention_is_not_an_offence(self, ncp_kind):
-        out = DLSBLNCP(W, ncp_kind, Z, behaviors={2: abstaining()}).run()
+        out = DLSBLNCP(W, ncp_kind, Z,
+                       config=EngineConfig(behaviors={2: abstaining()})).run()
         assert out.fined == {}
         assert out.verdicts == ()
 
     def test_originator_abstaining_aborts_engagement(self, ncp_kind):
         lo = 0 if ncp_kind is NetworkKind.NCP_FE else len(W) - 1
-        out = DLSBLNCP(W, ncp_kind, Z, behaviors={lo: abstaining()}).run()
+        out = DLSBLNCP(W, ncp_kind, Z,
+                       config=EngineConfig(behaviors={lo: abstaining()})).run()
         assert not out.completed
         assert out.terminal_phase is Phase.BIDDING
         assert out.participants != tuple(out.order)
@@ -51,7 +55,8 @@ class TestAbstention:
         behaviors = {i: abstaining() for i in range(1, len(W))}
         if ncp_kind is NetworkKind.NCP_NFE:
             behaviors = {i: abstaining() for i in range(len(W) - 1)}
-        out = DLSBLNCP(W, ncp_kind, Z, behaviors=behaviors).run()
+        out = DLSBLNCP(W, ncp_kind, Z,
+                       config=EngineConfig(behaviors=behaviors)).run()
         assert not out.completed
         assert all(u == 0.0 for u in out.utilities.values())
 
@@ -59,7 +64,8 @@ class TestAbstention:
         # Truthful participation yields utility >= 0 = abstention:
         # voluntary participation is why rational agents join at all.
         joined = DLSBLNCP(W, ncp_kind, Z).run()
-        out = DLSBLNCP(W, ncp_kind, Z, behaviors={1: abstaining()}).run()
+        out = DLSBLNCP(W, ncp_kind, Z,
+                       config=EngineConfig(behaviors={1: abstaining()})).run()
         assert joined.utilities["P2"] >= out.utilities["P2"] - 1e-12
 
     def test_detection_still_works_with_abstainers(self, ncp_kind):
@@ -69,7 +75,8 @@ class TestAbstention:
             1: abstaining(),
             2: AgentBehavior(deviations={Deviation.MULTIPLE_BIDS}),
         }
-        out = DLSBLNCP(W, ncp_kind, Z, behaviors=behaviors).run()
+        out = DLSBLNCP(W, ncp_kind, Z,
+                       config=EngineConfig(behaviors=behaviors)).run()
         assert list(out.fined) == ["P3"]
         # The abstainer is not among the reward beneficiaries.
         assert out.balances["P2"] == 0.0

@@ -4,7 +4,7 @@ commitments (paper footnote 1)."""
 import pytest
 
 from repro.agents.behaviors import AgentBehavior, Deviation
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.dlt.platform import NetworkKind
 from repro.protocol.phases import Phase
 from tests.conftest import PROTO_W4, PROTO_Z, run_protocol
@@ -28,7 +28,8 @@ class TestHonestEquivalence:
     @pytest.mark.parametrize("mode", MODES)
     def test_honest_outcomes_identical_across_modes(self, mode, ncp_kind):
         base = DLSBLNCP(W, ncp_kind, Z).run()
-        out = DLSBLNCP(W, ncp_kind, Z, bidding_mode=mode).run()
+        out = DLSBLNCP(W, ncp_kind, Z,
+                       config=EngineConfig(bidding_mode=mode)).run()
         assert out.completed
         for n in out.order:
             assert out.payments[n] == pytest.approx(base.payments[n])
@@ -36,7 +37,8 @@ class TestHonestEquivalence:
     def test_commit_mode_publishes_commitments(self):
         from repro.network.messages import MessageKind
 
-        mech = DLSBLNCP(W, NetworkKind.NCP_FE, Z, bidding_mode="commit")
+        mech = DLSBLNCP(W, NetworkKind.NCP_FE, Z,
+                        config=EngineConfig(bidding_mode="commit"))
         out = mech.run()
         assert out.traffic.by_kind[MessageKind.COMMITMENT] == len(W)
 
@@ -45,7 +47,8 @@ class TestHonestEquivalence:
 
         mech_a = DLSBLNCP(W, NetworkKind.NCP_FE, Z)
         out_a = mech_a.run()
-        mech_p = DLSBLNCP(W, NetworkKind.NCP_FE, Z, bidding_mode="naive")
+        mech_p = DLSBLNCP(W, NetworkKind.NCP_FE, Z,
+                          config=EngineConfig(bidding_mode="naive"))
         out_p = mech_p.run()
         m = len(W)
         assert out_a.traffic.by_kind[MessageKind.BID] == m        # broadcasts
@@ -53,7 +56,8 @@ class TestHonestEquivalence:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="bidding_mode"):
-            DLSBLNCP(W, NetworkKind.NCP_FE, Z, bidding_mode="gossip")
+            DLSBLNCP(W, NetworkKind.NCP_FE, Z,
+                     config=EngineConfig(bidding_mode="gossip"))
 
 
 class TestSplitBidsUnderCommitments:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.agents.behaviors import AgentBehavior, Deviation, misreport, slow_execution, truthful
 from repro.core.dls_bl import DLSBL
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.core.fines import FinePolicy
 from repro.dlt.platform import NetworkKind
 from repro.network.messages import MessageKind
@@ -31,7 +31,8 @@ class TestApiValidation:
 
     def test_behavior_list_length_checked(self):
         with pytest.raises(ValueError):
-            DLSBLNCP(W, NetworkKind.NCP_FE, Z, behaviors=[truthful()])
+            DLSBLNCP(W, NetworkKind.NCP_FE, Z,
+                     config=EngineConfig(behaviors=[truthful()]))
 
 
 class TestHonestRun:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.dlt.platform import NetworkKind
 from repro.network.faults import CrashFault, FaultPlan, MessageFault, StallFault
 from repro.protocol.phases import Phase
@@ -99,8 +99,8 @@ class TestBiddingCrash:
 
     def test_too_few_survivors_aborts(self):
         out = DLSBLNCP([2.0, 3.0], NetworkKind.NCP_FE, Z,
-                       fault_plan=FaultPlan(crashes=(
-                           CrashFault("P2", phase=Phase.BIDDING),))).run()
+                       config=EngineConfig(fault_plan=FaultPlan(crashes=(
+                           CrashFault("P2", phase=Phase.BIDDING),)))).run()
         assert not out.completed
 
 
@@ -232,8 +232,9 @@ class TestLedgerInvariant:
                 MessageFault(action="drop", probability=0.2),)))
             for plan in plans:
                 mode = "commit" if plan and plan.messages else "atomic"
-                out = DLSBLNCP(w, ncp_kind, z, bidding_mode=mode,
-                               fault_plan=plan).run()
+                out = DLSBLNCP(w, ncp_kind, z,
+                               config=EngineConfig(bidding_mode=mode,
+                                                   fault_plan=plan)).run()
                 assert_ledger_conserved(out)
 
 

@@ -15,7 +15,7 @@ phase invariants at the runner level:
 import pytest
 
 from repro.agents.behaviors import AgentBehavior, Deviation
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.crypto.blocks import divide_load
 from repro.dlt.platform import NetworkKind
 from repro.network.faults import CrashFault, FaultPlan
@@ -34,7 +34,7 @@ Z = 0.4
 
 def build(w=W, kind=NetworkKind.NCP_FE, z=Z, **kw):
     """A wired engine plus a hand-built context (no engine.run())."""
-    mech = DLSBLNCP(list(w), kind, z, pki_seed=11, **kw)
+    mech = DLSBLNCP(list(w), kind, z, config=EngineConfig(pki_seed=11, **kw))
     eng = mech.engine
     ctx = EngagementContext(
         agents=eng.agents, originator=eng.originator, kind=eng.kind,
@@ -177,7 +177,8 @@ class TestSettleIsShared:
         eng, ctx = build()
         run_until(eng, ctx, Phase.COMPUTING_PAYMENTS)
         result = eng.settle(ctx)
-        reference = DLSBLNCP(W, NetworkKind.NCP_FE, Z, pki_seed=11).run()
+        reference = DLSBLNCP(W, NetworkKind.NCP_FE, Z,
+                             config=EngineConfig(pki_seed=11)).run()
         assert result.payments == pytest.approx(reference.payments)
         assert result.balances == pytest.approx(reference.balances)
         assert result.utilities == pytest.approx(reference.utilities)
@@ -193,8 +194,9 @@ class TestSettleIsShared:
     ], ids=["normal", "crash-mid", "crash-originator", "crash-payments"])
     def test_every_path_conserves_the_ledger(self, fault_plan):
         w = [2.0, 3.0, 5.0, 4.0]
-        mech = DLSBLNCP(w, NetworkKind.NCP_FE, Z, pki_seed=11,
-                        fault_plan=fault_plan)
+        mech = DLSBLNCP(w, NetworkKind.NCP_FE, Z,
+                        config=EngineConfig(pki_seed=11,
+                                            fault_plan=fault_plan))
         out = mech.run()
         ledger = mech.engine.infra.ledger
         assert abs(ledger.total) < 1e-9

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.agents.behaviors import AgentBehavior, Deviation
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.dlt.platform import NetworkKind
 from repro.protocol.trace import describe_message, render_transcript, traffic_summary
 
 
 def run_mech(behaviors=None):
     mech = DLSBLNCP([2.0, 3.0, 5.0], NetworkKind.NCP_FE, 0.4,
-                    behaviors=behaviors)
+                    config=EngineConfig(behaviors=behaviors))
     outcome = mech.run()
     return mech, outcome
 
@@ -69,7 +69,7 @@ class TestDescribeMessage:
         from repro.dlt.platform import NetworkKind
 
         mech = DLSBLNCP([2.0, 3.0, 5.0], NetworkKind.NCP_FE, 0.4,
-                        bidding_mode="commit")
+                        config=EngineConfig(bidding_mode="commit"))
         mech.run()
         text = render_transcript(mech.engine.bus)
         assert "commitment" in text

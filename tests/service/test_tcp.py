@@ -5,22 +5,27 @@ the headline test runs the same request against a unix-socket client
 and a TCP client and compares canonical digests.  The connect-timeout
 tests pin the PR 9 fix: a dead TCP endpoint fails in bounded time with
 ``OSError`` (then exit 2 at the CLI), exactly like a missing unix
-socket path always has.
+socket path always has.  A forked pool worker must not inherit a live
+listener, or a closed daemon's port keeps accepting connections.
 """
 
+import asyncio
 import json
+import os
 import socket
+import sys
 import time
 
 import pytest
 
 from repro.api import EngagementRequest, execute
-from repro.service import ServiceClient
+from repro.service import ServiceClient, WarmPool
 from repro.service.tcp import (
     Endpoint,
     connect,
     parse_endpoint,
     send_envelope,
+    start_server,
 )
 
 W = (2.0, 3.0, 5.0)
@@ -127,6 +132,44 @@ class TestConnectTimeout:
             # timeout < default connect timeout: the tighter one wins.
             connect(f"127.0.0.1:{port}", timeout=0.5)
         assert time.monotonic() - start < 10.0
+
+
+async def _hang_up(reader, writer):
+    writer.close()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the worker's fds from /proc")
+def test_forked_pool_worker_drops_inherited_listener():
+    # A worker still holding the listener would keep the port accepting
+    # after the daemon closes it: clients would connect and hang
+    # instead of being refused, which is what fleet failover keys on.
+    loop = asyncio.new_event_loop()
+    try:
+        server, bound = loop.run_until_complete(
+            start_server("127.0.0.1:0", _hang_up))
+        inode = os.fstat(server.sockets[0].fileno()).st_ino
+        pool = WarmPool(1)
+        try:
+            _, future = pool.submit(os.getpid)
+            worker = future.result(timeout=30)
+            fd_dir = f"/proc/{worker}/fd"
+            held = set()
+            for fd in os.listdir(fd_dir):
+                try:
+                    held.add(os.readlink(f"{fd_dir}/{fd}"))
+                except OSError:  # closed while listing
+                    continue
+            assert f"socket:[{inode}]" not in held
+            server.close()
+            loop.run_until_complete(server.wait_closed())
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", bound.port),
+                                         timeout=5).close()
+        finally:
+            pool.shutdown()
+    finally:
+        loop.close()
 
 
 def oversized_request() -> EngagementRequest:

@@ -130,6 +130,17 @@ def test_api_does_not_import_service():
         "repro.api must not depend on repro.service:\n  " + "\n  ".join(bad))
 
 
+def test_sweep_does_not_import_service():
+    # The fork pool lives in repro.sweep.pool, below both of its users:
+    # the sweep runner and the service daemon.  repro.api reaches
+    # repro.sweep, so a sweep -> service import would pull the serving
+    # stack under the wire contract through the back door.
+    bad = _violations(("repro.sweep",), ("repro.service",))
+    assert not bad, (
+        "repro.sweep must not depend on repro.service:\n  "
+        + "\n  ".join(bad))
+
+
 def test_cli_imports_analysis_only_through_facade():
     # The CLI is a thin client of repro.api; reaching into the analysis
     # package directly bypasses the versioned surface.  (The sanctioned

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.dls_bl import DLSBL
-from repro.core.dls_bl_ncp import DLSBLNCP
+from repro.core.dls_bl_ncp import DLSBLNCP, EngineConfig
 from repro.dlt.platform import BusNetwork, NetworkKind
 from repro.io import (
     dumps_network,
@@ -72,8 +72,8 @@ class TestProtocolDump:
         from repro.agents.behaviors import AgentBehavior, Deviation
 
         out = DLSBLNCP([2.0, 3.0, 5.0], NetworkKind.NCP_FE, 0.4,
-                       behaviors={1: AgentBehavior(
-                           deviations={Deviation.MULTIPLE_BIDS})}).run()
+                       config=EngineConfig(behaviors={1: AgentBehavior(
+                           deviations={Deviation.MULTIPLE_BIDS})})).run()
         d = json.loads(json.dumps(protocol_result_to_dict(out)))
         assert d["completed"] is False
         assert d["verdicts"][0]["fines"][0]["who"] == "P2"
@@ -85,7 +85,7 @@ class TestProtocolDumpEdges:
         from repro.agents.behaviors import abstaining
 
         out = DLSBLNCP([2.0, 3.0, 5.0], NetworkKind.NCP_FE, 0.4,
-                       behaviors={1: abstaining()}).run()
+                       config=EngineConfig(behaviors={1: abstaining()})).run()
         d = json.loads(json.dumps(protocol_result_to_dict(out)))
         assert d["participants"] == ["P1", "P3"]
         assert d["payments"]["P2"] == 0.0
@@ -93,7 +93,7 @@ class TestProtocolDumpEdges:
 
     def test_commit_mode_dump(self):
         out = DLSBLNCP([2.0, 3.0], NetworkKind.NCP_FE, 0.4,
-                       bidding_mode="commit").run()
+                       config=EngineConfig(bidding_mode="commit")).run()
         d = json.loads(json.dumps(protocol_result_to_dict(out)))
         assert d["completed"] is True
         assert d["traffic"]["messages"] > 0
