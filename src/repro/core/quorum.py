@@ -24,10 +24,13 @@ wrong verdict can never assemble a certificate (safety); rotating past
 at most ``f`` faulty leaders always reaches an honest one whose honest
 proposal collects the ``N - f`` honest votes (liveness).
 
-This module is transport-free (core layer): :meth:`RefereeCommittee.decide`
-runs the rounds in-process, and the protocol layer's
-``CommitteeAdjudicator`` re-drives the identical member logic over the
-simulated bus so proposals and votes are countable, droppable traffic.
+The round loop lives once, in :meth:`RefereeCommittee.decide`; only
+delivery varies.  Each hop (a proposal to a member, a vote back to the
+leader, the certificate announce, an expired round) goes through the
+committee's :class:`Link`.  The base link is in-process delivery
+(every hop arrives); the protocol layer's
+:class:`~repro.protocol.committee.BusLink` moves the same hops over the
+simulated bus as countable, droppable traffic.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ __all__ = [
     "QuorumError",
     "CommitteeConfig",
     "CommitteeMember",
+    "Link",
     "QuorumDecision",
     "RefereeCommittee",
 ]
@@ -276,6 +280,35 @@ class CommitteeMember:
             case.label, round_index, value_digest(verdict_data)))
 
 
+class Link:
+    """How a round's hops travel between members: in-process here.
+
+    Every hop arrives, and a member is down iff it is in *unreachable*.
+    Subclasses change delivery only; the round loop never changes.
+    """
+
+    def __init__(self, unreachable: frozenset[str] = frozenset()) -> None:
+        self.unreachable = unreachable
+
+    def down(self, name: str) -> bool:
+        return name in self.unreachable
+
+    def propose(self, leader: str, member: str,
+                signed: SignedMessage) -> bool:
+        """Carry *leader*'s proposal to *member*; True if it arrived."""
+        return True
+
+    def vote(self, member: str, leader: str, vote: SignedMessage) -> bool:
+        """Carry *member*'s vote back to *leader*; True if it arrived."""
+        return True
+
+    def announce(self, cert: QuorumCertificate) -> None:
+        """Tell everyone a certificate was assembled."""
+
+    def expire(self) -> None:
+        """Let a round that decided nothing run out its budget."""
+
+
 @dataclass(frozen=True)
 class QuorumDecision:
     """A decided case: the binding verdict plus its certificate."""
@@ -290,9 +323,9 @@ class RefereeCommittee:
     """Drop-in replacement for the trusted :class:`Referee`.
 
     Exposes the same five ``judge_*`` methods, but every call runs the
-    quorum state machine: the verdict returned is the one decoded from
-    a verified :class:`QuorumCertificate`, retrievable afterwards via
-    :meth:`certificate_for` (the engine demands it before applying
+    quorum state machine over :attr:`link`: the verdict returned is the
+    one decoded from a verified :class:`QuorumCertificate`, which
+    :meth:`certify` hands back (the engine demands it before applying
     fines).  With ``f = 0`` honest members, round 0 decides immediately
     and the verdict is bit-identical to what the lone trusted referee
     would have produced — the differential tests pin exactly that.
@@ -313,6 +346,7 @@ class RefereeCommittee:
         self._pending: dict[int, QuorumCertificate] = {}
         self.certificates: list[QuorumCertificate] = []
         self.rounds_used = 0
+        self.link = Link()
 
     # -- roster -------------------------------------------------------------
 
@@ -391,39 +425,61 @@ class RefereeCommittee:
         """The certificate backing *verdict*, if this committee minted it."""
         return self._pending.get(id(verdict))
 
-    # -- transport-free decision loop --------------------------------------
+    def certify(self, verdict: RefereeVerdict) -> QuorumCertificate:
+        """The certificate that binds *verdict*, or :class:`QuorumError`.
 
-    def decide(self, case: EvidenceCase, *,
-               unreachable: frozenset[str] = frozenset()) -> QuorumDecision:
-        """Run rounds in-process until a certificate verifies.
-
-        *unreachable* simulates crashed members (no proposals, no
-        votes); the protocol layer's adjudicator instead derives
-        reachability from the fault plan and moves every proposal and
-        vote across the bus.
+        It must verify, certify exactly this verdict's content, name
+        this committee's roster and demand at least its quorum: the
+        threshold a certificate declares is not taken on its word.
         """
+        cert = self.certificate_for(verdict)
+        if cert is None:
+            raise QuorumError(f"verdict {verdict.case!r} reached the engine "
+                              "without a quorum certificate")
+        if not (cert.value == verdict_to_dict(verdict)
+                and cert.committee == self.names
+                and cert.threshold >= self.config.quorum
+                and verify_certificate(cert, self.pki)):
+            raise QuorumError(f"quorum certificate for {verdict.case!r} "
+                              "does not bind it")
+        return cert
+
+    # -- the round loop -----------------------------------------------------
+
+    def decide(self, case: EvidenceCase) -> QuorumDecision:
+        """Run rounds over :attr:`link` until a certificate verifies.
+
+        A down or silent leader's round expires.  Otherwise its
+        proposals go out in the order it made them and votes come back
+        in member order; the leader's own copy and vote make no hop.
+        """
+        link = self.link
         for round_index in range(self.config.rounds_budget):
             leader = self.leader_for(round_index)
-            if leader.name in unreachable:
-                continue
-            proposals = leader.proposals(case, round_index, self.names)
-            if proposals is None:
-                continue
-            votes = []
-            for member in self.members:
-                if member.name in unreachable:
-                    continue
-                signed = proposals.get(member.name)
-                if signed is None:
-                    continue
-                vote = member.vote_on(case, round_index, signed,
-                                      leader=leader.name, pki=self.pki)
-                if vote is not None:
-                    votes.append(vote)
-            cert = self.assemble(case, round_index, leader.name,
-                                 proposals, votes)
-            if cert is not None and verify_certificate(cert, self.pki):
-                return self.record_decision(case, round_index, cert)
+            proposals = None if link.down(leader.name) else \
+                leader.proposals(case, round_index, self.names)
+            if proposals is not None:
+                delivered = {
+                    name: signed for name, signed in proposals.items()
+                    if name == leader.name
+                    or link.propose(leader.name, name, signed)}
+                votes = []
+                for member in self.members:
+                    signed = delivered.get(member.name)
+                    if signed is None or link.down(member.name):
+                        continue
+                    vote = member.vote_on(case, round_index, signed,
+                                          leader=leader.name, pki=self.pki)
+                    if vote is not None and (
+                            member is leader
+                            or link.vote(member.name, leader.name, vote)):
+                        votes.append(vote)
+                cert = self.assemble(case, round_index, leader.name,
+                                     delivered, votes)
+                if cert is not None and verify_certificate(cert, self.pki):
+                    link.announce(cert)
+                    return self.record_decision(case, round_index, cert)
+            link.expire()
         raise QuorumError(
             f"no quorum for case {case.label!r} after "
             f"{self.config.rounds_budget} rounds "

@@ -35,8 +35,8 @@ built before scopes existed.
 Protocol code never tags messages by hand: :meth:`Bus.scoped` returns
 an :class:`EngagementBusView` — a transport with the exact ``Bus``
 surface that stamps its engagement id on everything it carries — so the
-engine, runners and adjudicator run unmodified whether they own the bus
-or share it.
+engine, runners and committee bus link run unmodified whether they own
+the bus or share it.
 """
 
 from __future__ import annotations
@@ -400,7 +400,7 @@ class EngagementBusView:
     — ``attach`` / ``broadcast`` / ``broadcast_once`` / ``send`` /
     ``transfer_load`` / ``enter_phase`` / ``is_crashed`` / ``stats`` / ``log`` / ``queue``
     / ``port_free_at`` — stamping its engagement id onto every message
-    so the engine, runners, retry machinery and committee adjudicator
+    so the engine, runners, retry machinery and committee bus link
     run unmodified over a multiplexed bus.  The physics properties
     (``queue``, ``port_free_at``, ``z``) deliberately read through to
     the shared bus: simulated time and port contention are global.

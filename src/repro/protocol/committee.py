@@ -1,176 +1,69 @@
-"""Bus transport for the referee committee's quorum rounds.
+"""Bus delivery for the referee committee's quorum rounds.
 
-:class:`~repro.core.quorum.RefereeCommittee` is transport-free; this
-adapter re-drives the same member logic over the simulated bus so that
+:meth:`~repro.core.quorum.RefereeCommittee.decide` owns the one round
+loop; :class:`BusLink` only moves its hops over the simulated bus, so
 committee-internal traffic is real, countable, droppable traffic:
 
-* the round leader unicasts one ``QUORUM_PROPOSAL`` per member through
+* the round leader unicasts one ``QUORUM_PROPOSAL`` per other member,
+  and each member unicasts its ``QUORUM_VOTE`` back, both through
   :meth:`~repro.protocol.context.EngagementContext.send_with_retry`
-  (bounded ack/retry, like every other control message);
-* members unicast ``QUORUM_VOTE`` back to the leader the same way;
-* a verifying certificate is announced to everyone with one
-  ``QUORUM_CERT`` broadcast — the processors' receipt that the verdict
-  they are about to see was quorum-backed;
-* a round that produces no verifiable certificate (silent or crashed
-  leader, corrupted proposal rejected by the validators) burns its
-  ``deadlines.committee_round`` budget on the simulated clock and the
-  leadership rotates — the same timeout-and-move-on shape as the
-  engine's other deadline machinery.
-
-The adjudicator exposes the trusted referee's exact ``judge_*``
-surface, so runners are committee-agnostic: they call the context's
-referee and apply the verdict; only ``apply_verdict`` knows to demand
-the certificate.
+  (bounded ack/retry within ``deadlines.committee_round``);
+* a verifying certificate is announced with one ``QUORUM_CERT``
+  broadcast, the processors' receipt that the verdict they are about to
+  see was quorum-backed;
+* a round that decides nothing burns its ``committee_round`` budget on
+  the simulated clock before the leadership rotates.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.quorum import QuorumError, RefereeCommittee
-from repro.core.referee import RefereeVerdict
-from repro.crypto.certificates import QuorumCertificate, verify_certificate
+from repro.core.quorum import Link
 from repro.network.messages import Message, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.crypto.certificates import QuorumCertificate
+    from repro.crypto.signatures import SignedMessage
     from repro.protocol.context import EngagementContext
 
-__all__ = ["CommitteeAdjudicator"]
+__all__ = ["BusLink"]
 
 
-class CommitteeAdjudicator:
-    """Referee-compatible facade running quorum rounds over the bus."""
+class BusLink(Link):
+    """One engagement's bus, as the committee's delivery link."""
 
-    def __init__(self, committee: RefereeCommittee) -> None:
-        self.committee = committee
-        self._ctx: "EngagementContext | None" = None
-        #: Rounds that timed out without a certificate (leader silent,
-        #: crashed, or outvoted) — the liveness cost of Byzantine members.
-        self.timeouts = 0
+    def __init__(self, ctx: "EngagementContext") -> None:
+        super().__init__()
+        self.ctx = ctx
 
-    def bind(self, ctx: "EngagementContext") -> None:
-        """Attach the engagement this adjudicator moves traffic for."""
-        self._ctx = ctx
-
-    # -- certificate access (the engine's verification hook) ---------------
-
-    def certificate_for(self, verdict: RefereeVerdict,
-                        ) -> QuorumCertificate | None:
-        return self.committee.certificate_for(verdict)
-
-    @property
-    def certificates(self) -> list[QuorumCertificate]:
-        return self.committee.certificates
-
-    @property
-    def rounds_used(self) -> int:
-        return self.committee.rounds_used
-
-    # -- internals ----------------------------------------------------------
-
-    def _down(self, name: str) -> bool:
-        ctx = self._ctx
-        assert ctx is not None
+    def down(self, name: str) -> bool:
+        ctx = self.ctx
         return ctx.fault_plan is not None and ctx.bus.is_crashed(name)
 
-    def _burn_round(self) -> None:
-        ctx = self._ctx
-        assert ctx is not None
-        self.timeouts += 1
-        queue = ctx.bus.queue
-        queue.run_until(queue.now + ctx.deadlines.committee_round)
+    def _send(self, kind: MessageKind, sender: str, recipient: str,
+              signed: "SignedMessage") -> bool:
+        ctx = self.ctx
+        return bool(ctx.send_with_retry(
+            Message(kind, sender, (recipient,), signed),
+            window=ctx.deadlines.committee_round))
 
-    def _adjudicate(self, method: str, **kwargs) -> RefereeVerdict:
-        committee = self.committee
-        ctx = self._ctx
-        if ctx is None:
-            # Unbound (unit tests, offline re-adjudication): fall back
-            # to the committee's transport-free decision loop.
-            return committee.decide(committee.new_case(method, **kwargs)
-                                    ).verdict
-        case = committee.new_case(method, **kwargs)
-        window = ctx.deadlines.committee_round
-        for round_index in range(committee.config.rounds_budget):
-            leader = committee.leader_for(round_index)
-            if self._down(leader.name):
-                self._burn_round()
-                continue
-            proposals = leader.proposals(case, round_index, committee.names)
-            if proposals is None:  # silent leader: let the round expire
-                self._burn_round()
-                continue
-            delivered: dict[str, object] = {}
-            for name, signed in proposals.items():
-                if name == leader.name:
-                    delivered[name] = signed  # own copy, no wire hop
-                    continue
-                acked = ctx.send_with_retry(
-                    Message(MessageKind.QUORUM_PROPOSAL, leader.name,
-                            (name,), signed),
-                    window=window)
-                if acked:
-                    delivered[name] = signed
-            votes = []
-            for member in committee.members:
-                signed = delivered.get(member.name)
-                if signed is None or self._down(member.name):
-                    continue
-                vote = member.vote_on(case, round_index, signed,
-                                      leader=leader.name, pki=committee.pki)
-                if vote is None:
-                    continue
-                if member is leader:
-                    votes.append(vote)
-                    continue
-                acked = ctx.send_with_retry(
-                    Message(MessageKind.QUORUM_VOTE, member.name,
-                            (leader.name,), vote),
-                    window=window)
-                if acked:
-                    votes.append(vote)
-            cert = committee.assemble(case, round_index, leader.name,
-                                      delivered, votes)
-            if cert is not None and verify_certificate(cert, committee.pki):
-                ctx.bus.broadcast(Message(
-                    MessageKind.QUORUM_CERT, leader.name, ("*",), {
-                        "case": cert.case,
-                        "round": cert.round_index,
-                        "digest": cert.digest,
-                        "voters": list(cert.voters),
-                    }))
-                return committee.record_decision(case, round_index,
-                                                 cert).verdict
-            self._burn_round()
-        raise QuorumError(
-            f"no quorum for case {case.label!r} after "
-            f"{committee.config.rounds_budget} rounds "
-            f"(committee={committee.config.size}, "
-            f"quorum={committee.config.quorum})")
+    def propose(self, leader: str, member: str,
+                signed: "SignedMessage") -> bool:
+        return self._send(MessageKind.QUORUM_PROPOSAL, leader, member, signed)
 
-    # -- the trusted referee's judging surface ------------------------------
+    def vote(self, member: str, leader: str, vote: "SignedMessage") -> bool:
+        return self._send(MessageKind.QUORUM_VOTE, member, leader, vote)
 
-    def judge_equivocation(self, claimant, accused, evidence, participants,
-                           fine) -> RefereeVerdict:
-        return self._adjudicate("judge_equivocation", claimant=claimant,
-                                accused=accused, evidence=evidence,
-                                participants=participants, fine=fine)
+    def announce(self, cert: "QuorumCertificate") -> None:
+        self.ctx.bus.broadcast(Message(
+            MessageKind.QUORUM_CERT, cert.leader, ("*",), {
+                "case": cert.case,
+                "round": cert.round_index,
+                "digest": cert.digest,
+                "voters": list(cert.voters),
+            }))
 
-    def judge_commitment_violation(self, claimant, accused, evidence,
-                                   commitment, participants,
-                                   fine) -> RefereeVerdict:
-        return self._adjudicate("judge_commitment_violation",
-                                claimant=claimant, accused=accused,
-                                evidence=evidence, commitment=commitment,
-                                participants=participants, fine=fine)
-
-    def judge_unresponsive(self, unresponsive, survivors) -> RefereeVerdict:
-        return self._adjudicate("judge_unresponsive",
-                                unresponsive=unresponsive,
-                                survivors=survivors)
-
-    def judge_allocation_dispute(self, **kwargs) -> RefereeVerdict:
-        return self._adjudicate("judge_allocation_dispute", **kwargs)
-
-    def judge_payment_vectors(self, submissions, **kwargs) -> RefereeVerdict:
-        return self._adjudicate("judge_payment_vectors",
-                                submissions=submissions, **kwargs)
+    def expire(self) -> None:
+        queue = self.ctx.bus.queue
+        queue.run_until(queue.now + self.ctx.deadlines.committee_round)

@@ -199,9 +199,9 @@ class EngagementContext:
     order: list[str]                              # all agent names, in order
     bulletin: dict = field(default_factory=dict)  # commit-mode bulletin board
     received: dict[str, list] = field(default_factory=dict)  # load inboxes
-    # Committee mode: the adjudicator behind ``referee`` (None when a
-    # single trusted referee adjudicates).  When set, every verdict must
-    # carry a verifiable quorum certificate before its fines bind.
+    # Committee mode: the committee behind ``referee`` (None when a
+    # single trusted referee adjudicates).  When set, it must certify
+    # every verdict before its fines bind.
     adjudicator: Any = None
     # Which engagement this context is, when several multiplex one bus
     # (``None`` = the solo case — the engagement owns the root scope).
@@ -236,7 +236,6 @@ class EngagementContext:
     degraded: bool = False
     crashed: tuple[str, ...] = ()
     reallocations: dict[str, float] = field(default_factory=dict)
-    certificates: list = field(default_factory=list)  # verified quorum certs
 
     # --- shared services -------------------------------------------------
 
@@ -249,25 +248,13 @@ class EngagementContext:
         """Record a verdict and execute its monetary consequences.
 
         In committee mode no verdict binds on anyone's word alone: the
-        engine demands the quorum certificate minted for exactly this
-        verdict and re-verifies it against the PKI before any fine is
-        collected.  A missing or non-verifying certificate is a protocol
-        violation, not a judgement call — it raises.
+        committee must :meth:`~repro.core.quorum.RefereeCommittee.certify`
+        it — a verifying certificate for exactly this verdict, at this
+        committee's quorum — before any fine is collected.  Anything
+        less is a protocol violation, not a judgement call — it raises.
         """
         if self.adjudicator is not None:
-            from repro.core.quorum import QuorumError
-            from repro.crypto.certificates import verify_certificate
-
-            cert = self.adjudicator.certificate_for(verdict)
-            if cert is None:
-                raise QuorumError(
-                    f"verdict {verdict.case!r} reached the engine without "
-                    "a quorum certificate")
-            if not verify_certificate(cert, self.pki):
-                raise QuorumError(
-                    f"quorum certificate for {verdict.case!r} failed "
-                    "verification")
-            self.certificates.append(cert)
+            self.adjudicator.certify(verdict)
         self.verdicts.append(verdict)
         for f in verdict.fines:
             self.infra.collect_fine(f.who, f.amount, f.offence)

@@ -37,7 +37,7 @@ from repro.network.bus import Bus
 from repro.network.faults import FaultPlan, FaultyBus
 from repro.network.messages import Message, MessageKind
 from repro.perf import REDUNDANCY_MODES, ComputationCache
-from repro.protocol.committee import CommitteeAdjudicator
+from repro.protocol.committee import BusLink
 from repro.protocol.context import (
     REFEREE,
     USER,
@@ -155,10 +155,9 @@ class ProtocolEngine:
             agent.memo = self.memo
         # Adjudication: a single trusted referee by default; with a
         # committee config, N referees behind the same interface — the
-        # adjudicator drives quorum rounds over the bus and the engine
-        # verifies every verdict's certificate before applying it.
+        # committee runs quorum rounds over the session's bus link and
+        # the context certifies every verdict before applying it.
         self.committee: RefereeCommittee | None = None
-        self._adjudicator: CommitteeAdjudicator | None = None
         if committee is None:
             self.referee = Referee(pki, self.policy, memo=self.memo)
         else:
@@ -169,8 +168,7 @@ class ProtocolEngine:
                 for member, strategy in \
                         fault_plan.referee_strategies().items():
                     self.committee.set_strategy(member, strategy)
-            self._adjudicator = CommitteeAdjudicator(self.committee)
-            self.referee = self._adjudicator
+            self.referee = self.committee
         self.infra = PaymentInfrastructure(USER)
         # Per-engagement deltas: the PKI (with its verification cache)
         # and an injected memo may outlive this engine, so snapshot the
@@ -216,7 +214,7 @@ class ProtocolEngine:
         if self.committee is not None:
             # Committee members are bus endpoints so their proposal and
             # vote traffic is real, countable, and fault-targetable; the
-            # adjudicator moves the payloads in-process, so the handler
+            # bus link moves the payloads in-process, so the handler
             # is a sink like the referee's and the user's.
             for name in self.committee.names:
                 self.bus.attach(name, lambda msg: None)
@@ -292,12 +290,12 @@ class ProtocolEngine:
         stats = self.bus.stats
         memo = self.memo.stats if self.memo is not None else None
         sig = self.pki.signature_cache.stats
-        adjudicator = self._adjudicator
+        committee = self.committee
         return (stats.messages, stats.bytes, stats.retries,
                 memo.hits if memo is not None else 0,
                 memo.misses if memo is not None else 0,
                 sig.hits, sig.misses,
-                adjudicator.rounds_used if adjudicator is not None else 0)
+                committee.rounds_used if committee is not None else 0)
 
     # ---- settlement ----------------------------------------------------
 
@@ -378,11 +376,11 @@ class EngagementSession:
             deadlines=engine.deadlines, retry=engine.retry,
             fault_plan=engine._fault_plan, order=engine.order,
             bulletin=engine._bulletin, received=engine._received,
-            blocks=blocks, adjudicator=engine._adjudicator,
+            blocks=blocks, adjudicator=engine.committee,
             engagement_id=engine.engagement_id, bid_board=engine.bid_board,
         )
-        if engine._adjudicator is not None:
-            engine._adjudicator.bind(self.ctx)
+        if engine.committee is not None:
+            engine.committee.link = BusLink(self.ctx)
         self.spans: list[PhaseSpan] = []
         self.phase: Phase | None = Phase.BIDDING
         self._result: ProtocolResult | None = None

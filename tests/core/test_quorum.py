@@ -10,6 +10,7 @@ from repro.core.quorum import (
     HONEST,
     SILENT,
     CommitteeConfig,
+    Link,
     QuorumError,
     RefereeCommittee,
     tolerated_faults,
@@ -164,9 +165,8 @@ class TestByzantineMembers:
         pki, keys = world
         committee = RefereeCommittee(pki, FinePolicy(),
                                      config=CommitteeConfig(size=4))
-        decision = committee.decide(
-            equivocation_case(committee, keys),
-            unreachable=frozenset({"referee-1"}))
+        committee.link = Link(frozenset({"referee-1"}))
+        decision = committee.decide(equivocation_case(committee, keys))
         assert decision.verdict.fined_names == ("P2",)
         assert decision.rounds == 2  # round 0's leader was unreachable
 
