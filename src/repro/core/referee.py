@@ -95,6 +95,15 @@ def _no_action(case: str) -> RefereeVerdict:
     return RefereeVerdict(case=case, fines=(), terminates=False)
 
 
+def _exact_match(raw, correct_list: list[float]) -> bool:
+    """Whether a submitted ``Q`` is a list of exact floats equal to
+    *correct_list* — what the per-element conversion in
+    :meth:`Referee.judge_payment_vectors` would accept unchanged, so
+    the O(m) rebuild can be skipped."""
+    return (type(raw) is list and set(map(type, raw)) <= {float}
+            and raw == correct_list)
+
+
 #: The referee's public judging surface.  An :class:`EvidenceCase` may
 #: dispatch onto exactly these methods — the committee replays cases
 #: through the same catalogue, so a malformed case can never reach a
@@ -496,6 +505,11 @@ class Referee:
 
         fines: list[Fine] = []
         vectors: dict[str, list[float]] = {}
+        # The first list that passed the exact check.  Honest agents
+        # sign one shared list object, and nothing mutates a submission
+        # while it is judged, so a later submission carrying that very
+        # object needs no O(m) re-check.
+        accepted = None
         for name in participants:
             msgs = submissions.get(name, [])
             authentic = [m for m in msgs if self.pki.verify(m) and m.signer == name]
@@ -506,12 +520,11 @@ class Referee:
                 fines.append(Fine(name, fine, "contradictory-payment-vectors"))
                 continue
             payload = authentic[0].payload
-            # Honest fast path: a list of exact floats equal to the
-            # referee's own vector is what the per-element conversion
-            # below would accept unchanged, so skip the O(m) rebuild.
             raw = payload.get("Q") if type(payload) is dict else None
-            if (type(raw) is list and set(map(type, raw)) <= {float}
-                    and raw == correct_list):
+            if raw is accepted and raw is not None:
+                continue
+            if _exact_match(raw, correct_list):
+                accepted = raw
                 continue
             try:
                 vectors[name] = [float(q) for q in payload["Q"]]

@@ -84,7 +84,10 @@ class SignedMessage:
         """
         d = self._digest
         if d is None:
-            d = hashlib.sha256(self.canonical + b"\x00" + self.signature).digest()
+            h = hashlib.sha256(self.canonical)
+            h.update(b"\x00")
+            h.update(self.signature)
+            d = h.digest()
             object.__setattr__(self, "_digest", d)
         return d
 

@@ -122,15 +122,16 @@ class ComputationCache:
         h.update(w_exec.tobytes())
         return self._memo(h.digest(), lambda: payments(network, w_exec))
 
-    def payments_payload(self, network, w_exec) -> tuple[list, str]:
+    def payments_payload(self, network, w_exec) -> tuple[list, bytes]:
         """Cached wire form of the payment vector: ``(q_list, q_json)``.
 
         Every honest agent broadcasts the *same* ``Q`` in Computing
         Payments, and at ``m = 512`` serializing 512 floats per agent
         dominates the phase.  This returns the float list and its JSON
-        encoding (``json.dumps`` with canonical separators, exactly the
-        fragment :func:`~repro.crypto.signatures.canonical_bytes`
-        embeds) computed once per distinct ``(network, w_exec)``.
+        encoding as bytes (``json.dumps`` with canonical separators,
+        exactly the fragment :func:`~repro.crypto.signatures.canonical_bytes`
+        embeds) computed once per distinct ``(network, w_exec)``, so an
+        agent's canonical payload is one bytes join around it.
 
         The list is shared across agents' payloads — consumers treat it
         as read-only, and deviating agents build fresh lists instead of
@@ -144,7 +145,7 @@ class ComputationCache:
         if cached is None:
             q = self.payments(network, w_exec)
             q_list = [float(x) for x in q]
-            q_json = json.dumps(q_list, separators=(",", ":"))
+            q_json = json.dumps(q_list, separators=(",", ":")).encode()
             cached = self._wire[key] = (q_list, q_json)
         return cached
 

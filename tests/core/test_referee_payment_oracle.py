@@ -141,14 +141,24 @@ def test_verdict_matches_per_element_oracle(data, m, kind, use_memo):
         BusNetwork(tuple(bids[n] for n in names), Z, kind, tuple(names)),
         np.array([w_exec[n] for n in names]))]
 
+    # One list object per variant, signed by every signer that draws
+    # it shared (honest agents all sign the cache's one list): the
+    # referee's check-once rule must not change any verdict.
+    shared = {v: make(correct) for v, make in Q_VARIANTS.items()}
+
+    def q_for(variant):
+        if data.draw(st.booleans()):
+            return shared[variant]
+        return Q_VARIANTS[variant](correct)
+
     submissions = {}
     for i, name in enumerate(names):
         variant = data.draw(st.sampled_from(sorted(Q_VARIANTS)))
         alt = data.draw(st.sampled_from(sorted(Q_VARIANTS)))
         shape = data.draw(st.sampled_from(SUBMISSION_SHAPES))
         submissions[name] = _submit(
-            keys, name, names[(i + 1) % m], shape,
-            Q_VARIANTS[variant](correct), Q_VARIANTS[alt](correct))
+            keys, name, names[(i + 1) % m], shape, q_for(variant),
+            q_for(alt))
 
     kwargs = dict(participants=names, order=names, bids=bids,
                   w_exec=w_exec, kind=kind, z=Z, fine=FINE)
@@ -179,3 +189,35 @@ def test_each_variant_matches_oracle_for_a_lone_submitter(variant):
     got = Referee(pki).judge_payment_vectors(submissions, **kwargs)
     want = oracle_judge_payment_vectors(Referee(pki), submissions, **kwargs)
     assert got == want
+
+
+@pytest.mark.parametrize("first", ["holder", "correct-copy"])
+@pytest.mark.parametrize("shared", ["correct", "wrong"])
+def test_one_shared_list_is_judged_like_separate_copies(first, shared):
+    # Every holder of one list object gets the oracle's verdict; a wrong
+    # shared list fines every holder, also after a correct list passed.
+    names = ["P1", "P2", "P3", "P4", "P5"]
+    bids = {"P1": 2.0, "P2": 3.0, "P3": 5.0, "P4": 1.5, "P5": 7.25}
+    pki = PKI()
+    keys = {n: pki.register(n) for n in names}
+    correct = [float(x) for x in compute_payments(
+        BusNetwork(tuple(bids[n] for n in names), Z, NetworkKind.NCP_FE,
+                   tuple(names)),
+        np.array([bids[n] for n in names]))]
+    q = Q_VARIANTS["honest" if shared == "correct" else "wrong"](correct)
+    submissions = {n: [keys[n].sign({"processor": n, "Q": q})]
+                   for n in names}
+    if first == "correct-copy":
+        # P1's own correct list passes the full check first.
+        submissions["P1"] = [keys["P1"].sign(
+            {"processor": "P1", "Q": list(correct)})]
+    kwargs = dict(participants=names, order=names, bids=bids,
+                  w_exec=dict(bids), kind=NetworkKind.NCP_FE, z=Z, fine=FINE)
+    got = Referee(pki, memo=ComputationCache()).judge_payment_vectors(
+        submissions, **kwargs)
+    want = oracle_judge_payment_vectors(Referee(pki), submissions, **kwargs)
+    assert got == want
+    holders = [n for n in names if submissions[n][0].payload["Q"] is q]
+    assert len(holders) == (5 if first == "holder" else 4)
+    fined = {f.who for f in got.fines if f.offence == "incorrect-payments"}
+    assert fined == (set(holders) if shared == "wrong" else set())

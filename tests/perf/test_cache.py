@@ -87,6 +87,13 @@ class TestComputationCache:
         assert memo.stats.hit_rate == 0.5
 
 
+def compose(q_json: bytes, name: str) -> bytes:
+    """The payment fast path's canonical form of ``{"processor", "Q"}``
+    (``ProcessorAgent.payment_vector_messages``)."""
+    return b"".join((b'{"Q":', q_json, b',"processor":',
+                     json.dumps(name).encode(), b"}"))
+
+
 class TestPaymentsPayloadCache:
     def test_q_list_matches_independent_computation(self):
         from repro.core.payments import payments as compute_payments
@@ -100,17 +107,16 @@ class TestPaymentsPayloadCache:
 
     def test_composed_canonical_matches_canonical_bytes(self):
         # The payment fast path splices the cached Q fragment into the
-        # signed payload's canonical form by string composition; it
-        # must be byte-identical to the full serialization for every
-        # name and every float shape (exponents included).
+        # signed payload's canonical form by one bytes join; it must be
+        # byte-identical to the full serialization for every name and
+        # every float shape (exponents included).
         memo = ComputationCache()
         n = net((1e-7, 3.0, 5e8), z=0.125)
         q_list, q_json = memo.payments_payload(n, np.array([1e-7, 3.0, 5e8]))
+        assert type(q_json) is bytes
         for name in ("P1", "processor \"x\"", "émile"):
             payload = {"processor": name, "Q": q_list}
-            composed = ('{"Q":%s,"processor":%s}'
-                        % (q_json, json.dumps(name))).encode()
-            assert composed == canonical_bytes(payload)
+            assert compose(q_json, name) == canonical_bytes(payload)
 
     def test_signing_with_composed_canonical_verifies(self):
         from repro.crypto.pki import PKI
@@ -120,9 +126,7 @@ class TestPaymentsPayloadCache:
         memo = ComputationCache()
         q_list, q_json = memo.payments_payload(net(), np.array([2.0, 3.0, 5.0]))
         payload = {"processor": "P1", "Q": q_list}
-        canon = ('{"Q":%s,"processor":%s}'
-                 % (q_json, json.dumps("P1"))).encode()
-        sm = key.sign(payload, canonical=canon)
+        sm = key.sign(payload, canonical=compose(q_json, "P1"))
         assert pki.verify(sm)
         assert sm.canonical == canonical_bytes(payload)
 

@@ -8,6 +8,8 @@ identically (payments, balances, phi, fines, verdicts).  Memoization
 may only remove repeated work — never change a single observable bit.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,35 @@ class TestDeviantEquivalence:
         outs = run_pair([2.0, 3.0, 5.0], behaviors={
             0: AgentBehavior(deviations={Deviation.CONTRADICTORY_PAYMENTS})})
         assert_equivalent(outs)
+
+    @pytest.mark.parametrize("deviation", [Deviation.WRONG_PAYMENTS,
+                                           Deviation.CONTRADICTORY_PAYMENTS])
+    def test_deviants_leave_the_shared_q_list_intact(self, deviation,
+                                                     monkeypatch):
+        # Honest agents sign the cache's one Q list and the referee
+        # accepts that object once; deviants must build their own lists
+        # and never write into the shared one.
+        from repro.perf import ComputationCache
+
+        served = []
+        original = ComputationCache.payments_payload
+
+        def recording(memo, network, w_exec):
+            wire = original(memo, network, w_exec)
+            served.append((memo, network, np.array(w_exec), wire))
+            return wire
+
+        monkeypatch.setattr(ComputationCache, "payments_payload", recording)
+        for index in (0, 2, 4):
+            mech = DLSBLNCP([2.0, 3.0, 5.0, 4.0, 1.5], NetworkKind.NCP_FE, 0.4,
+                            config=EngineConfig(pki_seed=SEED, behaviors={
+                                index: AgentBehavior(deviations={deviation})}))
+            out = mech.run()
+            assert out.verdicts and mech.engine.bid_board.intact
+        assert served
+        for memo, network, w_exec, (q_list, q_json) in served:
+            assert q_list == [float(x) for x in memo.payments(network, w_exec)]
+            assert json.loads(q_json) == q_list
 
 
 class TestFaultEquivalence:
@@ -313,34 +344,54 @@ class TestBidBoardWorkCounts:
     M = 64
 
     def _run(self, redundancy="memoized"):
+        """Run one m = 64 engagement, counting three O(m) work items:
+        ``observe_bid`` calls, ordered bid tuple builds and the
+        referee's full per-element ``Q`` checks."""
+        import repro.core.referee as referee_mod
+        from repro.agents.board import BidBoard
         from repro.agents.processor import ProcessorAgent
 
         rng = np.random.default_rng(5)
         w = [float(x) for x in rng.uniform(1.0, 10.0, self.M)]
-        calls = 0
-        original = ProcessorAgent.observe_bid
+        counts = {"observe_bid": 0, "ordered": 0, "_exact_match": 0}
+        patched = [(ProcessorAgent, "observe_bid"), (BidBoard, "ordered"),
+                   (referee_mod, "_exact_match")]
+        originals = [getattr(owner, attr) for owner, attr in patched]
 
-        def counting(agent, sm):
-            nonlocal calls
-            calls += 1
-            return original(agent, sm)
+        def counting(attr, original):
+            def wrapper(*args):
+                counts[attr] += 1
+                return original(*args)
+            return wrapper
 
-        ProcessorAgent.observe_bid = counting
+        for (owner, attr), original in zip(patched, originals):
+            setattr(owner, attr, counting(attr, original))
         try:
             out = DLSBLNCP(w, NetworkKind.NCP_FE, 0.3, config=EngineConfig(
                 redundancy=redundancy, pki_seed=SEED)).run()
         finally:
-            ProcessorAgent.observe_bid = original
-        return calls, out
+            for (owner, attr), original in zip(patched, originals):
+                setattr(owner, attr, original)
+        return counts, out
 
     def test_observe_bid_calls_at_most_2m(self):
-        calls, out = self._run()
+        counts, out = self._run()
         assert out.completed
-        assert calls <= 2 * self.M
+        assert counts["observe_bid"] <= 2 * self.M
 
     def test_independent_mode_keeps_the_m_squared_procedure(self):
-        calls, _ = self._run("independent")
-        assert calls == self.M * self.M
+        counts, _ = self._run("independent")
+        assert counts["observe_bid"] == self.M * self.M
+
+    def test_payments_build_the_bid_tuple_and_check_q_once(self):
+        counts, out = self._run()
+        assert out.completed and not out.verdicts
+        assert (counts["ordered"], counts["_exact_match"]) == (1, 1)
+
+    def test_independent_mode_builds_and_checks_per_agent(self):
+        counts, out = self._run("independent")
+        assert out.completed and not out.verdicts
+        assert (counts["ordered"], counts["_exact_match"]) == (self.M, self.M)
 
     def test_sig_cache_accounting_is_per_logical_delivery(self):
         _, out = self._run()
