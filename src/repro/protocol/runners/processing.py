@@ -163,7 +163,7 @@ class ProcessingRunner(PhaseRunner):
         # surviving cohort (allocation order preserved, so the
         # originator keeps its NCP-FE/NFE position) and re-ship the
         # unfinished blocks.
-        beta = originator.compute_survivor_allocation(survivors)
+        beta = originator.compute_allocation(survivors)
         pool: list = []
         for c in crashed:
             entitled_c = len(ctx.slices[c])
